@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,15 +70,19 @@ def classify_suite(
     variants get conformance and distinguishing sets.  A test lands in
     the distinguishing set of the least variant it conforms to, and in
     none if it conforms to two incomparable variants but to nothing
-    below both.
+    below both.  Rows are keyed by test name, so a name shared by two
+    tests raises ValueError.
     """
     if hierarchy is None:
         hierarchy = default_hierarchy()
+    tests = list(tests)
+    names = [test.name for test in tests]
+    duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
+    if duplicates:
+        raise ValueError(f"duplicate test names: {', '.join(duplicates)}")
     matrix: dict[str, dict[str, bool]] = {}
     errors: dict[str, str] = {}
-    names = []
     for test in tests:
-        names.append(test.name)
         try:
             verdicts = check_matrix(test, max_states=max_states)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal

@@ -2,12 +2,15 @@
 
 Two constructions share one representation.  The plain LTS explores
 machine states only.  The monitored LTS pairs each machine state with
-scheduler facts and labels every transition with the fair set computed
-from the *source* state's facts, i.e. the guarantee in force before the
-step.  Termination is folded into the completing step (the target
-state's facts already record it), so there are no separate termination
-transitions; cycles therefore never contain one, and the oracle treats
-terminations as freely available along escape paths.
+scheduler facts (who has stepped, who has terminated).  Its exploration
+does not depend on any progress model: only the fair set of a state
+does, so one monitored LTS serves every model, and `Lts.fair_sets`
+derives the fair sets of one model from the facts.  A transition's fair
+label is the fair set of its *source* state, i.e. the guarantee in
+force before the step.  Termination is folded into the completing step
+(the target state's facts already record it), so there are no separate
+termination transitions; cycles therefore never contain one, and the
+oracle treats terminations as freely available along escape paths.
 """
 
 from __future__ import annotations
@@ -40,17 +43,12 @@ class MonitoredState:
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """One step: thread `tid` runs `instr`, moving state `src` to `dst`.
-
-    `fair_before` is the fair set of the source state under the LTS's
-    model; None on plain LTSs, which carry no fairness information.
-    """
+    """One step: thread `tid` runs `instr`, moving state `src` to `dst`."""
 
     src: int
     dst: int
     tid: int
     instr: AxbInstruction
-    fair_before: frozenset[int] | None
 
 
 class Lts:
@@ -64,13 +62,11 @@ class Lts:
     def __init__(
         self,
         test: LitmusTest,
-        model: ProgressModel | None,
         states: list,
         transitions: list[Transition],
         end_states: list[int],
     ):
         self.test = test
-        self.model = model
         self.states = states
         self.transitions = transitions
         self.end_states = end_states
@@ -81,7 +77,7 @@ class Lts:
 
     @property
     def is_monitored(self) -> bool:
-        return self.model is not None
+        return isinstance(self.states[0], MonitoredState)
 
     def machine(self, state_id: int) -> MachineState:
         s = self.states[state_id]
@@ -91,14 +87,31 @@ class Lts:
         s = self.states[state_id]
         return s.facts if isinstance(s, MonitoredState) else None
 
-    def fair_at(self, state_id: int) -> frozenset[int] | None:
-        facts = self.facts(state_id)
-        return None if facts is None else fair_set(self.model, facts)
+    def fair_sets(self, model: ProgressModel) -> list[frozenset[int]]:
+        """The fair set of every state under `model`, indexed by state id.
+
+        States sharing their stepped and terminated sets share one fair
+        set, so `fair_set` runs once per distinct pair, not once per state
+        or transition.
+        """
+        if not self.is_monitored:
+            raise ValueError("a plain LTS carries no scheduler facts")
+        by_facts: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+        out = []
+        for s in self.states:
+            key = (s.facts.stepped, s.facts.terminated)
+            fair = by_facts.get(key)
+            if fair is None:
+                fair = by_facts[key] = fair_set(model, s.facts)
+            out.append(fair)
+        return out
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def to_dot(self) -> str:
+    def to_dot(self, model: ProgressModel | None = None) -> str:
+        """Graphviz rendering; edges carry `model`'s fair sets when given."""
+        fair = None if model is None else self.fair_sets(model)
         lines = ["digraph lts {", "  rankdir=LR;"]
         ends = set(self.end_states)
         for idx in range(len(self.states)):
@@ -110,15 +123,16 @@ class Lts:
             shape = "doublecircle" if idx in ends else "circle"
             lines.append(f'  s{idx} [shape={shape}, label="{label}"];')
         for tr in self.transitions:
-            if tr.fair_before is None:
+            if fair is None:
                 label = f"T{tr.tid}"
             else:
-                label = f"T{tr.tid}:{{{','.join(map(str, sorted(tr.fair_before)))}}}"
+                label = f"T{tr.tid}:{{{','.join(map(str, sorted(fair[tr.src])))}}}"
             lines.append(f'  s{tr.src} -> s{tr.dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, model: ProgressModel | None = None) -> dict:
+        fair = None if model is None else self.fair_sets(model)
         states = []
         for idx in range(len(self.states)):
             m = self.machine(idx)
@@ -142,20 +156,20 @@ class Lts:
                         "jump": ins.jump,
                         "exch": ins.exch,
                     },
-                    "fair": None if tr.fair_before is None else sorted(tr.fair_before),
+                    "fair": None if fair is None else sorted(fair[tr.src]),
                 }
             )
         return {
             "test": self.test.name,
-            "model": None if self.model is None else self.model.value,
+            "model": None if model is None else model.value,
             "initial": self.initial,
             "states": states,
             "transitions": transitions,
             "end_states": list(self.end_states),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    def to_json(self, model: ProgressModel | None = None) -> str:
+        return json.dumps(self.to_json_dict(model), indent=2, sort_keys=True) + "\n"
 
 
 def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
@@ -188,19 +202,18 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
                 index[succ] = dst
                 states.append(succ)
             transitions.append(
-                Transition(src, dst, tid, test.threads[tid][state.pcs[tid]], None)
+                Transition(src, dst, tid, test.threads[tid][state.pcs[tid]])
             )
-    return Lts(test, None, states, transitions, end_states)
+    return Lts(test, states, transitions, end_states)
 
 
-def build_monitored_lts(
-    test: LitmusTest, model: ProgressModel, max_states: int = DEFAULT_MAX_STATES
-) -> Lts:
-    """Plain exploration augmented with scheduler facts and F labels.
+def build_monitored_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
+    """Plain exploration augmented with scheduler facts.
 
     The dedup key includes the stepped set: the fair set must be a
     function of the state, and two histories reaching the same machine
-    state with different stepped sets carry different guarantees.
+    state with different stepped sets carry different guarantees under
+    some model.
     """
     n = test.num_threads
     lengths = tuple(len(p) for p in test.threads)
@@ -222,7 +235,6 @@ def build_monitored_lts(
         if not enabled:
             end_states.append(src)
             continue
-        fair_before = fair_set(model, mon.facts)
         for tid in enabled:
             machine = step(test, mon.machine, tid)
             stepped = mon.facts.stepped | {tid}
@@ -244,11 +256,9 @@ def build_monitored_lts(
                     MonitoredState(machine, SchedulerFacts(stepped, terminated, n))
                 )
             transitions.append(
-                Transition(
-                    src, dst, tid, test.threads[tid][mon.machine.pcs[tid]], fair_before
-                )
+                Transition(src, dst, tid, test.threads[tid][mon.machine.pcs[tid]])
             )
-    return Lts(test, model, states, transitions, end_states)
+    return Lts(test, states, transitions, end_states)
 
 
 @dataclass(frozen=True, slots=True)

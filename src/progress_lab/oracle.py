@@ -22,6 +22,7 @@ all, only an acyclic state space terminates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,165 +83,97 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
 
-def _fair_or_empty(fair: frozenset[int] | None) -> frozenset[int]:
-    return frozenset() if fair is None else fair
-
-
-def _witness_steps(lts: Lts, transition_ids: list[int]) -> tuple[WitnessStep, ...]:
+def _witness_steps(
+    lts: Lts, transition_ids: list[int], fair: list[frozenset[int]]
+) -> tuple[WitnessStep, ...]:
     steps = []
     for idx in transition_ids:
         tr = lts.transitions[idx]
         pc = lts.machine(tr.src).pcs[tr.tid]
-        steps.append(WitnessStep(tr.tid, pc, tr.instr, _fair_or_empty(tr.fair_before)))
+        steps.append(WitnessStep(tr.tid, pc, tr.instr, fair[tr.src]))
     return tuple(steps)
 
 
-def _shortest_path(
-    lts: Lts, start: int, targets: frozenset[int] | set[int]
+def _bfs(
+    lts: Lts,
+    start: int,
+    goal: Callable[[int], bool],
+    keep: Callable[[int], bool] | None = None,
 ) -> list[int]:
-    """Transition-id path from `start` to the nearest target (BFS)."""
-    if start in targets:
-        return []
-    back: dict[int, int] = {start: -1}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        node = queue[qi]
-        qi += 1
-        for tidx in lts.out[node]:
-            dst = lts.transitions[tidx].dst
-            if dst in back:
-                continue
-            back[dst] = tidx
-            if dst in targets:
-                path: list[int] = []
-                cur = dst
-                while cur != start:
-                    tidx = back[cur]
-                    path.append(tidx)
-                    cur = lts.transitions[tidx].src
-                path.reverse()
-                return path
-            queue.append(dst)
-    raise ValueError("target states are unreachable")
+    """Shortest transition-id path from `start` ending in a `goal` edge.
 
-
-def _path_to_edge_by_tid(
-    lts: Lts, start: int, tid: int, internal_out: dict[int, list[int]]
-) -> tuple[list[int], int]:
-    """BFS within an SCC to the nearest internal edge stepped by `tid`.
-
-    Returns the transition path including that edge, plus its endpoint.
+    Only transitions passing `keep` (default: all) are followed.  Each
+    node's out-edges are tested against `goal` before any is expanded,
+    so the path ends at the first goal edge of the nearest node that has
+    one.
     """
     back: dict[int, int] = {start: -1}
     queue = [start]
-    qi = 0
-    while qi < len(queue):
-        node = queue[qi]
-        qi += 1
-        for tidx in internal_out.get(node, ()):
-            tr = lts.transitions[tidx]
-            if tr.tid == tid:
-                path: list[int] = []
-                cur = node
-                while cur != start:
-                    prev = back[cur]
-                    path.append(prev)
-                    cur = lts.transitions[prev].src
+    for node in queue:
+        out = [t for t in lts.out[node] if keep is None or keep(t)]
+        for tidx in out:
+            if goal(tidx):
+                path = [tidx]
+                while node != start:
+                    tidx = back[node]
+                    path.append(tidx)
+                    node = lts.transitions[tidx].src
                 path.reverse()
-                path.append(tidx)
-                return path, tr.dst
-        for tidx in internal_out.get(node, ()):
+                return path
+        for tidx in out:
             dst = lts.transitions[tidx].dst
             if dst not in back:
                 back[dst] = tidx
                 queue.append(dst)
-    raise ValueError(f"thread {tid} never steps inside the component")
+    raise ValueError("no path reaches the goal")
 
 
-def _path_within(
-    lts: Lts, start: int, goal: int, internal_out: dict[int, list[int]]
-) -> list[int]:
-    if start == goal:
-        return []
-    back: dict[int, int] = {start: -1}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        node = queue[qi]
-        qi += 1
-        for tidx in internal_out.get(node, ()):
-            dst = lts.transitions[tidx].dst
-            if dst in back:
-                continue
-            back[dst] = tidx
-            if dst == goal:
-                path: list[int] = []
-                cur = goal
-                while cur != start:
-                    tidx = back[cur]
-                    path.append(tidx)
-                    cur = lts.transitions[tidx].src
-                path.reverse()
-                return path
-            queue.append(dst)
-    raise ValueError("component is not strongly connected")
-
-
-def _cycle_witness(lts: Lts, scc: Scc, fair: frozenset[int]) -> Witness:
+def _cycle_witness(lts: Lts, scc: Scc, fair: list[frozenset[int]]) -> Witness:
     """Shortest path to the SCC, then a closed walk stepping every F-thread."""
-    internal_out: dict[int, list[int]] = {}
-    for tidx in scc.internal:
-        internal_out.setdefault(lts.transitions[tidx].src, []).append(tidx)
+    trs = lts.transitions
     members = set(scc.members)
-    path_ids = _shortest_path(lts, lts.initial, members)
-    entry = lts.transitions[path_ids[-1]].dst if path_ids else lts.initial
+    inside = set(scc.internal).__contains__
+    path_ids: list[int] = []
+    if lts.initial not in members:
+        path_ids = _bfs(lts, lts.initial, lambda t: trs[t].dst in members)
+    entry = trs[path_ids[-1]].dst if path_ids else lts.initial
 
     cycle_ids: list[int] = []
     cur = entry
-    for tid in sorted(fair):
-        segment, cur = _path_to_edge_by_tid(lts, cur, tid, internal_out)
-        cycle_ids.extend(segment)
+    for tid in sorted(fair[entry]):
+        cycle_ids += _bfs(lts, cur, lambda t: trs[t].tid == tid, inside)
+        cur = trs[cycle_ids[-1]].dst
     if not cycle_ids:
         # Empty fair set: any nonempty closed walk witnesses the loop.
-        first = internal_out[entry][0]
-        cycle_ids.append(first)
-        cur = lts.transitions[first].dst
-    cycle_ids.extend(_path_within(lts, cur, entry, internal_out))
-    return Witness(WitnessKind.CYCLE, _witness_steps(lts, path_ids), _witness_steps(lts, cycle_ids))
+        cycle_ids.append(next(t for t in lts.out[entry] if inside(t)))
+        cur = trs[cycle_ids[0]].dst
+    if cur != entry:
+        cycle_ids += _bfs(lts, cur, lambda t: trs[t].dst == entry, inside)
+    return Witness(
+        WitnessKind.CYCLE,
+        _witness_steps(lts, path_ids, fair),
+        _witness_steps(lts, cycle_ids, fair),
+    )
 
 
-def _weak_from_lts(lts: Lts) -> Verdict:
-    for scc in scc_decompose(lts):
-        if not scc.nontrivial:
-            continue
-        fair = _fair_or_empty(lts.fair_at(scc.members[0]))
-        if scc.stepping >= fair:
+def _weak(lts: Lts, sccs: list[Scc], fair: list[frozenset[int]]) -> Verdict:
+    for scc in sccs:
+        if scc.nontrivial and scc.stepping >= fair[scc.members[0]]:
             return Verdict(False, _cycle_witness(lts, scc, fair))
     return Verdict(True)
 
 
-def _strong_from_lts(lts: Lts) -> Verdict:
-    n = len(lts.states)
-    good = [False] * n
-    worklist: list[int] = []
-    for end in lts.end_states:
-        good[end] = True
-        worklist.append(end)
-    for tr in lts.transitions:
-        # A state about to take a step owed to nobody discharges the
-        # obligation outright, even though the run continues.
-        if tr.fair_before == frozenset() and not good[tr.src]:
-            good[tr.src] = True
-            worklist.append(tr.src)
+def _strong(lts: Lts, fair: list[frozenset[int]]) -> Verdict:
+    # End states owe nothing (every thread has terminated), and a state
+    # about to take a step owed to nobody discharges the obligation
+    # outright, even though the run continues.
+    good = [not f for f in fair]
+    worklist = [s for s, ok in enumerate(good) if ok]
     fair_rev: dict[int, list[int]] = {}
     for tr in lts.transitions:
-        if tr.fair_before is not None and tr.tid in tr.fair_before:
+        if tr.tid in fair[tr.src]:
             fair_rev.setdefault(tr.dst, []).append(tr.src)
-    wi = 0
-    while wi < len(worklist):
-        node = worklist[wi]
-        wi += 1
+    for node in worklist:
         for pred in fair_rev.get(node, ()):
             if not good[pred]:
                 good[pred] = True
@@ -248,43 +181,53 @@ def _strong_from_lts(lts: Lts) -> Verdict:
     if all(good):
         return Verdict(True)
     stuck = good.index(False)
-    path_ids = _shortest_path(lts, lts.initial, {stuck})
+    path_ids: list[int] = []
+    if stuck != lts.initial:
+        path_ids = _bfs(lts, lts.initial, lambda t: lts.transitions[t].dst == stuck)
     witness = Witness(
         WitnessKind.STUCK,
-        _witness_steps(lts, path_ids),
+        _witness_steps(lts, path_ids, fair),
         (),
         lts.machine(stuck),
-        _fair_or_empty(lts.fair_at(stuck)),
+        fair[stuck],
     )
     return Verdict(False, witness)
 
 
+def _flavored(lts: Lts, sccs: list[Scc], model: ProgressModel) -> dict[Fairness, Verdict]:
+    """The weak and strong verdicts of `model` from a monitored LTS and its SCCs."""
+    fair = lts.fair_sets(model)
+    return {Fairness.WEAK: _weak(lts, sccs, fair), Fairness.STRONG: _strong(lts, fair)}
+
+
 def check_unfair(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Verdict:
-    """Pass iff the plain LTS is acyclic: no guarantees, so any loop may spin."""
+    """Pass iff the plain LTS is acyclic: no guarantees, so any loop may spin.
+
+    That is the weak check with every fair set empty.
+    """
     lts = build_plain_lts(test, max_states)
-    for scc in scc_decompose(lts):
-        if scc.nontrivial:
-            return Verdict(False, _cycle_witness(lts, scc, frozenset()))
-    return Verdict(True)
+    return _weak(lts, scc_decompose(lts), [frozenset()] * len(lts))
 
 
-def _require_monitored_model(model: ProgressModel) -> None:
+def _check_monitored(
+    test: LitmusTest, model: ProgressModel, max_states: int
+) -> dict[Fairness, Verdict]:
     if model is ProgressModel.UNFAIR:
         raise ValueError("the unfair model has a single verdict; use check_unfair")
+    lts = build_monitored_lts(test, max_states)
+    return _flavored(lts, scc_decompose(lts), model)
 
 
 def check_weak(
     test: LitmusTest, model: ProgressModel, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
-    _require_monitored_model(model)
-    return _weak_from_lts(build_monitored_lts(test, model, max_states))
+    return _check_monitored(test, model, max_states)[Fairness.WEAK]
 
 
 def check_strong(
     test: LitmusTest, model: ProgressModel, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
-    _require_monitored_model(model)
-    return _strong_from_lts(build_monitored_lts(test, model, max_states))
+    return _check_monitored(test, model, max_states)[Fairness.STRONG]
 
 
 def check_variant(
@@ -293,9 +236,7 @@ def check_variant(
     model, flavor = variant
     if model is ProgressModel.UNFAIR:
         return check_unfair(test, max_states)
-    if flavor is Fairness.WEAK:
-        return check_weak(test, model, max_states)
-    return check_strong(test, model, max_states)
+    return _check_monitored(test, model, max_states)[flavor]
 
 
 def check_matrix(
@@ -305,16 +246,18 @@ def check_matrix(
 ) -> dict[str, Verdict]:
     """All verdict-producing models at once.
 
-    The monitored LTS of each model is built once and shared by its weak
-    and strong checks.
+    One monitored LTS and one SCC decomposition of it are shared by the
+    weak and strong checks of every model; only the fair sets differ.
     """
-    verdicts: dict[str, Verdict] = {variant_token((ProgressModel.UNFAIR, None)): check_unfair(test, max_states)}
-    models = [v[0] for v in all_model_variants(include_hsa_obe) if v[1] is Fairness.WEAK]
-    for model in models:
-        lts = build_monitored_lts(test, model, max_states)
-        verdicts[variant_token((model, Fairness.WEAK))] = _weak_from_lts(lts)
-        verdicts[variant_token((model, Fairness.STRONG))] = _strong_from_lts(lts)
-    return {variant_token(v): verdicts[variant_token(v)] for v in all_model_variants(include_hsa_obe)}
+    variants = all_model_variants(include_hsa_obe)
+    unfair = check_unfair(test, max_states)
+    lts = build_monitored_lts(test, max_states)
+    sccs = scc_decompose(lts)
+    flavored = {m: _flavored(lts, sccs, m) for m, flavor in variants if flavor is Fairness.WEAK}
+    return {
+        variant_token((m, flavor)): unfair if flavor is None else flavored[m][flavor]
+        for m, flavor in variants
+    }
 
 
 def format_witness(witness: Witness) -> str:

@@ -146,3 +146,9 @@ def test_write_report_files(report, tmp_path):
     data = json.loads(paths["partitions"].read_text())
     assert data["weak_tests"] == sorted(report.weak_tests)
     assert (tmp_path / "out" / "matrix.csv").exists()
+
+
+def test_duplicate_names_are_rejected(idioms):
+    twin = idioms["dining"]
+    with pytest.raises(ValueError, match="duplicate test names: dining"):
+        classify_suite([idioms["mutex"], twin, twin])

@@ -119,6 +119,18 @@ def test_classify_then_report(suite22, tmp_path, capsys):
     assert "tests classified: 20" in capsys.readouterr().out
 
 
+def test_classify_rejects_duplicate_names(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    text = Path(MUTEX).read_text()
+    for fname in ("a.litmus", "b.litmus"):
+        (suite / fname).write_text(text)
+    rc = main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "duplicate test names: mutex" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_report_without_data(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "no data\n"

@@ -60,30 +60,32 @@ def test_transition_labels_replay(idioms):
 def test_plain_has_no_fairness_info(idioms):
     lts = build_plain_lts(idioms["mutex"])
     assert not lts.is_monitored
-    assert all(tr.fair_before is None for tr in lts.transitions)
+    with pytest.raises(ValueError):
+        lts.fair_sets(ProgressModel.OBE)
 
 
 def test_monitored_tracks_stepped_and_fair(idioms):
-    lts = build_monitored_lts(idioms["mutex"], ProgressModel.OBE)
+    lts = build_monitored_lts(idioms["mutex"])
     assert lts.is_monitored
     assert lts.facts(lts.initial).stepped == frozenset()
+    fair = lts.fair_sets(ProgressModel.OBE)
     for tr in lts.transitions:
         facts = lts.facts(tr.src)
-        assert tr.fair_before == fair_set(ProgressModel.OBE, facts)
+        assert fair[tr.src] == fair_set(ProgressModel.OBE, facts)
         assert lts.facts(tr.dst).stepped == facts.stepped | {tr.tid}
 
 
 def test_monitored_merges_on_machine_and_stepped(idioms):
     # prodcons-increasing: after both threads stepped once each in either
     # order, machine and stepped coincide, so the states merge
-    lts = build_monitored_lts(idioms["prodcons-increasing"], ProgressModel.FAIR)
+    lts = build_monitored_lts(idioms["prodcons-increasing"])
     keys = {(lts.machine(i), lts.facts(i).stepped) for i in range(len(lts.states))}
     assert len(keys) == len(lts.states)
 
 
 def test_monitored_is_larger_than_plain(idioms):
     t = idioms["dining"]
-    assert len(build_monitored_lts(t, ProgressModel.FAIR).states) > len(
+    assert len(build_monitored_lts(t).states) > len(
         build_plain_lts(t).states
     )
 
@@ -101,16 +103,17 @@ def test_exploration_limit():
 
 def test_fair_set_constant_within_scc(idioms):
     for t in idioms.values():
+        lts = build_monitored_lts(t)
         for model in (ProgressModel.HSA, ProgressModel.OBE, ProgressModel.LOBE,
                       ProgressModel.FAIR):
-            lts = build_monitored_lts(t, model)
+            fair = lts.fair_sets(model)
             for scc in scc_decompose(lts):
-                fairs = {lts.fair_at(i) for i in scc.members}
+                fairs = {fair[i] for i in scc.members}
                 assert len(fairs) == 1
 
 
 def test_scc_partition_and_labels(idioms):
-    lts = build_monitored_lts(idioms["mutex"], ProgressModel.LOBE)
+    lts = build_monitored_lts(idioms["mutex"])
     sccs = scc_decompose(lts)
     seen = sorted(i for c in sccs for i in c.members)
     assert seen == list(range(len(lts.states)))
@@ -140,8 +143,8 @@ def test_two_state_cycle_is_one_scc():
 
 
 def test_build_is_deterministic(idioms):
-    a = build_monitored_lts(idioms["dining"], ProgressModel.LOBE)
-    b = build_monitored_lts(idioms["dining"], ProgressModel.LOBE)
+    a = build_monitored_lts(idioms["dining"])
+    b = build_monitored_lts(idioms["dining"])
     assert a.states == b.states
     assert a.transitions == b.transitions
     assert a.end_states == b.end_states
@@ -152,9 +155,9 @@ def test_dot_and_json_renderings(idioms):
     dot = plain.to_dot()
     assert dot.startswith("digraph") and "s0" in dot and dot.count("->") == 10
 
-    mon = build_monitored_lts(idioms["mutex"], ProgressModel.HSA)
-    data = json.loads(mon.to_json())
-    assert data == mon.to_json_dict()
+    mon = build_monitored_lts(idioms["mutex"])
+    data = json.loads(mon.to_json(ProgressModel.HSA))
+    assert data == mon.to_json_dict(ProgressModel.HSA)
     assert data["model"] == "hsa"
     assert len(data["states"]) == len(mon.states)
     assert len(data["transitions"]) == len(mon.transitions)

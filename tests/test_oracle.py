@@ -186,3 +186,48 @@ def test_random_failures_replay(t, model):
     for verdict in (check_weak(t, model), check_strong(t, model)):
         if not verdict.passed:
             naive.replay_witness(t, verdict.witness)
+
+
+def test_matrix_agrees_with_naive_on_capped_suites(suites):
+    from conftest import capped_tests
+
+    columns = [(variant_token(v), v) for v in all_model_variants()]
+    for bounds in ((2, 2), (2, 3), (3, 3)):
+        for test in capped_tests(suites(*bounds), bounds):
+            matrix = check_matrix(test)
+            for token, (model, flavor) in columns:
+                if model is ProgressModel.UNFAIR:
+                    fails = naive.naive_unfair_fails(test)
+                elif flavor is Fairness.WEAK:
+                    fails = naive.naive_weak_fails(test, model.value)
+                else:
+                    fails = naive.naive_strong_fails(test, model.value)
+                assert matrix[token].passed == (not fails), (bounds, test.name, token)
+                if bounds == (3, 3) and fails:
+                    naive.replay_witness(test, matrix[token].witness)
+
+
+def test_one_monitored_exploration_per_check(idioms, monkeypatch):
+    from progress_lab import oracle
+
+    calls = {"build_monitored_lts": 0, "scc_decompose": 0}
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    tests = list(idioms.values())
+    for test in tests:
+        check_matrix(test)
+    assert calls == {"build_monitored_lts": len(tests), "scc_decompose": 2 * len(tests)}
+    calls["build_monitored_lts"] = 0
+    for token in ("weak-hsa", "strong-lobe"):
+        check_variant(tests[0], parse_variant(token))
+    assert calls["build_monitored_lts"] == 2
