@@ -1,5 +1,7 @@
 """Bounded enumeration: constraints, dedup, determinism, and counts."""
 
+import itertools
+
 import pytest
 
 import naive
@@ -11,6 +13,8 @@ from progress_lab.oracle import check_strong, check_unfair
 from progress_lab.models import ProgressModel
 from progress_lab.synth import (
     SynthConfig,
+    _check_candidate,
+    _thread_programs,
     canonicalize,
     compositions,
     influence_holds,
@@ -178,3 +182,27 @@ def test_brute_force_equivalence_3_3(suites):
     )
     assert candidates == SUITE_CANDIDATES[(3, 3)]
     assert got == want
+
+
+def test_checker_agrees_with_naive_on_whole_spaces():
+    # Every candidate of the (2,2) and (3,3) spaces, built as _span_worker
+    # builds it but without the syntactic prefilter, so the semantic
+    # checker alone must reproduce the naive acceptance filter.
+    checked = 0
+    for threads, instrs in ((2, 2), (3, 3)):
+        for comp in compositions(instrs, threads):
+            per_thread = [_thread_programs(p, 2, 2) for p in comp]
+            for progs in itertools.product(*per_thread):
+                checked += 1
+                t = LitmusTest("x", 2, 2, tuple(
+                    tuple(I(loc, c, j, None if e < 0 else e) for loc, c, j, e in p)
+                    for p in progs
+                ))
+                accepted = _check_candidate(progs, 2, 2, None, None)[0] is None
+                assert accepted == naive.naive_constraints_ok(t), progs
+                # Why the checker needs no semantic influence pass: an
+                # end and a cycle together imply influence.
+                _, _, ends = naive.explore_plain(t)
+                if ends and naive.naive_unfair_fails(t):
+                    assert naive.naive_influence(t), progs
+    assert checked == SUITE_CANDIDATES[(2, 2)] + SUITE_CANDIDATES[(3, 3)]
