@@ -59,6 +59,9 @@ class LitmusTest:
     threads: tuple[tuple[AxbInstruction, ...], ...]
 
     def __post_init__(self) -> None:
+        # Suites and emitted kernels are files named after the test.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"test name {self.name!r} is not a single path component")
         if self.num_locations < 1:
             raise ValueError("a test needs at least one memory location")
         if self.value_domain < 1:
@@ -111,6 +114,15 @@ def enabled_threads(test: LitmusTest, state: MachineState) -> tuple[int, ...]:
     )
 
 
+def execute(ins: AxbInstruction, pc: int, value: Value) -> tuple[int, Value]:
+    """The AXB rule: (next pc, value left at `ins.loc`) from the value read.
+
+    The branch reads the pre-exchange value, then the exchange writes.
+    """
+    next_pc = ins.jump if value == ins.cmp else pc + 1
+    return next_pc, value if ins.exch is None else ins.exch
+
+
 def step(test: LitmusTest, state: MachineState, tid: int) -> MachineState:
     """Execute one instruction of `tid` atomically, returning the new state."""
     if not 0 <= tid < test.num_threads:
@@ -120,14 +132,10 @@ def step(test: LitmusTest, state: MachineState, tid: int) -> MachineState:
     if pc >= len(program):
         raise ValueError(f"thread {tid} of test {test.name!r} has terminated")
     ins = program[pc]
-    # Branch on the pre-exchange value, then apply the write.
-    taken = state.memory[ins.loc] == ins.cmp
-    new_pc = ins.jump if taken else pc + 1
+    value = state.memory[ins.loc]
+    new_pc, left = execute(ins, pc, value)
     pcs = state.pcs[:tid] + (new_pc,) + state.pcs[tid + 1 :]
-    if ins.exch is None or state.memory[ins.loc] == ins.exch:
-        memory = state.memory
-    else:
-        memory = (
-            state.memory[: ins.loc] + (ins.exch,) + state.memory[ins.loc + 1 :]
-        )
+    memory = state.memory
+    if left != value:
+        memory = memory[: ins.loc] + (left,) + memory[ins.loc + 1 :]
     return MachineState(memory, pcs)

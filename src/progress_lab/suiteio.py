@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .axb import LitmusTest
@@ -40,7 +41,14 @@ def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
     index = root / "suite.json"
     if index.is_file():
         entries = json.loads(index.read_text(encoding="utf-8"))["tests"]
-        files = [root / e["file"] for e in entries]
+        files = []
+        for e in entries:
+            # Checked lexically: resolving every entry costs more than
+            # reading it.
+            rel = os.path.normpath(e["file"])
+            if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+                raise ValueError(f"suite entry {e['file']!r} lies outside {root}")
+            files.append(root / rel)
     else:
         files = sorted(root.glob("*.litmus"))
     if not files:

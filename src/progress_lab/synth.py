@@ -10,21 +10,28 @@ Comparisons guarded to fall through either way are fixed to compare
 against 0, which prunes the space syntactically before any state
 exploration happens.
 
+Influence is pruned syntactically (some thread must branch on a
+location another thread writes) and is otherwise implied semantically:
+a candidate with a reachable end and a cycle always has it, as
+`_check_candidate` shows, so no state exploration tracks writers.
+
 The checker works on integer-packed states (memory digits plus one
-program counter per thread), so the full default spaces (a few million
-candidates) enumerate in minutes on one core.
+program counter per thread) and steps them by table lookup; the tables
+are derived from the AXB rule (`axb.execute`) once per composition, so
+the full default spaces (a few million candidates) enumerate in minutes
+on one core.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .axb import AxbInstruction, LitmusTest, enabled_threads, step
+from .axb import AxbInstruction, LitmusTest, execute
 from .litmus_io import parse_litmus, serialize_body
-from .lts import Lts, build_plain_lts
 
 # Rejection counters, in the order the checks run.
 REJECT_REASONS = (
@@ -100,69 +107,109 @@ def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 def _instruction_options(
     thread_len: int, idx: int, num_locations: int, value_domain: int
-) -> tuple[tuple[int, int, int, int], ...]:
-    # exch -1 encodes "no exchange"; fall-through jumps force cmp 0.
+) -> tuple[AxbInstruction, ...]:
+    # Fall-through jumps force cmp 0.
     opts = []
     for loc in range(num_locations):
         for jump in range(thread_len + 1):
-            cmps = (0,) if jump == idx + 1 else tuple(range(value_domain))
+            cmps = (0,) if jump == idx + 1 else range(value_domain)
             for cmp_ in cmps:
-                for exch in range(-1, value_domain):
-                    opts.append((loc, cmp_, jump, exch))
+                for exch in (None, *range(value_domain)):
+                    opts.append(AxbInstruction(loc, cmp_, jump, exch))
     return tuple(opts)
 
 
-def _thread_programs(thread_len: int, num_locations: int, value_domain: int):
-    per_idx = [
-        _instruction_options(thread_len, i, num_locations, value_domain)
-        for i in range(thread_len)
-    ]
-    return [tuple(p) for p in itertools.product(*per_idx)]
-
-
-def _program_props(program) -> tuple[bool, int, int]:
-    """(can ever revisit a pc, branch-location mask, write-location mask)."""
+def _program_props(program, shift: int) -> tuple[bool, int, int, int]:
+    """(can ever revisit a pc, branch-location mask, write-location mask,
+    both outcome bits of every real branch, shifted as the table rows are)."""
     has_back = False
     branch_locs = 0
     write_locs = 0
-    for i, (loc, _cmp, jump, exch) in enumerate(program):
-        if jump <= i:
+    branch_bits = 0
+    for i, ins in enumerate(program):
+        if ins.jump <= i:
             has_back = True
-        if jump != i + 1:
-            branch_locs |= 1 << loc
-        if exch >= 0:
-            write_locs |= 1 << loc
-    return has_back, branch_locs, write_locs
+        if ins.jump != i + 1:
+            branch_locs |= 1 << ins.loc
+            branch_bits |= 3 << (shift + 2 * i)
+        if ins.exch is not None:
+            write_locs |= 1 << ins.loc
+    return has_back, branch_locs, write_locs, branch_bits
+
+
+def _row(ins, idx, mult, shift, num_locations, value_domain):
+    """Table row of `ins` at `idx`, indexed by packed memory: the packed
+    state delta, and the outcome bit if `ins` is a real branch."""
+    pw = value_domain**ins.loc
+    row = []
+    for mem in range(value_domain**num_locations):
+        value = mem // pw % value_domain
+        next_pc, left = execute(ins, idx, value)
+        bit = 0
+        if ins.jump != idx + 1:
+            bit = (1 if next_pc == ins.jump else 2) << shift
+        row.append(((left - value) * pw + (next_pc - idx) * mult, bit))
+    return tuple(row)
+
+
+def _tables(comp, num_locations: int, value_domain: int):
+    """Packing and per-position programs for one composition.
+
+    A packed state is the memory digits plus, per thread, its pc times the
+    thread's multiplier.  Returns (memory radix, (multiplier, pc radix) per
+    thread, programs per thread); each program comes as (instructions,
+    table row per pc with None for the terminated pc, `_program_props`).
+    Rows are built once per (index, option) and shared by all programs.
+    """
+    vl = value_domain**num_locations
+    lanes = []
+    positions = []
+    mult = vl
+    shift = 0
+    for length in comp:
+        per_idx = [
+            _instruction_options(length, i, num_locations, value_domain)
+            for i in range(length)
+        ]
+        per_idx_rows = [
+            [_row(ins, i, mult, shift + 2 * i, num_locations, value_domain) for ins in opts]
+            for i, opts in enumerate(per_idx)
+        ]
+        positions.append(
+            [
+                (prog, rows + (None,), _program_props(prog, shift))
+                for prog, rows in zip(
+                    itertools.product(*per_idx), itertools.product(*per_idx_rows)
+                )
+            ]
+        )
+        lanes.append((mult, length + 1))
+        mult *= length + 1
+        shift += 2 * length
+    return vl, tuple(lanes), positions
 
 
 def _check_candidate(
-    progs,
-    num_locations: int,
-    value_domain: int,
-    max_states: int | None,
-    max_actions: int | None,
+    cand, vl: int, lanes, max_states: int | None, max_actions: int | None
 ) -> tuple[str | None, int, int]:
-    """Full semantic check of one candidate.
+    """Full semantic check of one candidate from `_tables` entries.
 
     Returns (rejection reason or None, plain-LTS states, plain-LTS actions).
+
+    No influence search is needed here.  Suppose no real branch ever
+    reads a value last written by another thread.  Then every branch
+    reads the initial value or the thread's own last write, so each
+    thread's pc sequence is a function of its own history, whatever the
+    interleaving.  A reachable cycle lets some thread step forever, so
+    that thread terminates in no run and no end state is reachable.
+    Hence an end being reachable together with a cycle existing implies
+    influence; `_span_worker` only prunes it syntactically beforehand.
     """
-    n = len(progs)
-    lens = [len(p) for p in progs]
-    v = value_domain
-    vl = v**num_locations
-    pow_loc = [v**l for l in range(num_locations)]
-    mult = []
-    acc = 1
-    for t in range(n):
-        mult.append(acc)
-        acc *= lens[t] + 1
-
-    real_branch: dict[tuple[int, int], int] = {}
-    for t in range(n):
-        for i, ins in enumerate(progs[t]):
-            if ins[2] != i + 1:
-                real_branch[(t, i)] = 0
-
+    threads = [(mult, radix, c[1]) for (mult, radix), c in zip(lanes, cand)]
+    required = 0
+    for c in cand:
+        required |= c[2][3]
+    covered = 0
     seen = {0}
     stack = [0]
     edges: list[tuple[int, int]] = []
@@ -170,27 +217,19 @@ def _check_candidate(
     while stack:
         s = stack.pop()
         mem = s % vl
-        code = s // vl
         done = True
-        for t in range(n):
-            pc = (code // mult[t]) % (lens[t] + 1)
-            if pc >= lens[t]:
+        for mult, radix, rows in threads:
+            row = rows[s // mult % radix]
+            if row is None:
                 continue
             done = False
-            loc, cmp_, jump, exch = progs[t][pc]
-            pw = pow_loc[loc]
-            cur = (mem // pw) % v
-            taken = cur == cmp_
-            npc = jump if taken else pc + 1
-            nmem = mem if exch < 0 or exch == cur else mem + (exch - cur) * pw
-            ns = nmem + vl * (code + (npc - pc) * mult[t])
+            d, bit = row[mem]
+            ns = s + d
+            covered |= bit
             edges.append((s, ns))
             if ns not in seen:
                 seen.add(ns)
                 stack.append(ns)
-            key = (t, pc)
-            if key in real_branch:
-                real_branch[key] |= 1 if taken else 2
         if done:
             ends.append(s)
     n_states = len(seen)
@@ -198,9 +237,8 @@ def _check_candidate(
 
     if not ends:
         return "end_unreachable", n_states, n_actions
-    for bits in real_branch.values():
-        if bits != 3:
-            return "branch_outcome_missing", n_states, n_actions
+    if covered != required:
+        return "branch_outcome_missing", n_states, n_actions
 
     rev: dict[int, list[int]] = {}
     for src, dst in edges:
@@ -238,41 +276,7 @@ def _check_candidate(
         return "lts_bounds_exceeded", n_states, n_actions
     if max_actions is not None and n_actions > max_actions:
         return "lts_bounds_exceeded", n_states, n_actions
-
-    # Influence: track the last writer of every location (-1 = initial
-    # value) and look for a branch whose input another thread wrote.
-    tb = n + 1
-    tpow = [tb**l for l in range(num_locations)]
-    needed = set(real_branch)
-    aseen = {(0, 0)}
-    astack = [(0, 0)]
-    while astack:
-        s, tc = astack.pop()
-        mem = s % vl
-        code = s // vl
-        for t in range(n):
-            pc = (code // mult[t]) % (lens[t] + 1)
-            if pc >= lens[t]:
-                continue
-            loc, cmp_, jump, exch = progs[t][pc]
-            pw = pow_loc[loc]
-            cur = (mem // pw) % v
-            if (t, pc) in needed:
-                tag = (tc // tpow[loc]) % tb - 1
-                if tag >= 0 and tag != t:
-                    return None, n_states, n_actions
-            taken = cur == cmp_
-            npc = jump if taken else pc + 1
-            nmem = mem if exch < 0 or exch == cur else mem + (exch - cur) * pw
-            if exch < 0:
-                ntc = tc
-            else:
-                ntc = tc + (t + 1 - (tc // tpow[loc]) % tb) * tpow[loc]
-            a = (nmem + vl * (code + (npc - pc) * mult[t]), ntc)
-            if a not in aseen:
-                aseen.add(a)
-                astack.append(a)
-    return "no_cross_thread_influence", n_states, n_actions
+    return None, n_states, n_actions
 
 
 def _relabel_locations(threads, perm) -> tuple[tuple[AxbInstruction, ...], ...]:
@@ -293,7 +297,9 @@ def canonicalize(test: LitmusTest, symmetry_reduction: bool = False) -> str:
     """
     best = serialize_body(test.threads, test.num_locations, test.value_domain)
     if symmetry_reduction:
-        for perm in itertools.permutations(range(test.num_locations)):
+        # The first permutation is the identity, serialized above.
+        perms = itertools.permutations(range(test.num_locations))
+        for perm in itertools.islice(perms, 1, None):
             body = serialize_body(
                 _relabel_locations(test.threads, perm),
                 test.num_locations,
@@ -304,56 +310,6 @@ def canonicalize(test: LitmusTest, symmetry_reduction: bool = False) -> str:
     return best
 
 
-def influence_holds(test: LitmusTest, plain_lts: Lts | None = None) -> bool:
-    """Does some branch read a value last written by a different thread?
-
-    Branch outcomes are collected from the plain LTS (built on demand);
-    last-writer tags need their own exploration since they are not a
-    function of machine states.
-    """
-    if plain_lts is None:
-        plain_lts = build_plain_lts(test)
-    cover: dict[tuple[int, int], int] = {}
-    for t, thread in enumerate(test.threads):
-        for i, ins in enumerate(thread):
-            if ins.jump != i + 1:
-                cover[(t, i)] = 0
-    if not cover:
-        return False
-    for tr in plain_lts.transitions:
-        src = plain_lts.machine(tr.src)
-        key = (tr.tid, src.pcs[tr.tid])
-        if key in cover:
-            taken = src.memory[tr.instr.loc] == tr.instr.cmp
-            cover[key] |= 1 if taken else 2
-    candidates = {k for k, bits in cover.items() if bits == 3}
-    if not candidates:
-        return False
-
-    init_tags = (-1,) * test.num_locations
-    start = (test.initial_state(), init_tags)
-    aseen = {start}
-    astack = [start]
-    while astack:
-        machine, tags = astack.pop()
-        for tid in enabled_threads(test, machine):
-            pc = machine.pcs[tid]
-            ins = test.threads[tid][pc]
-            if (tid, pc) in candidates:
-                writer = tags[ins.loc]
-                if writer >= 0 and writer != tid:
-                    return True
-            nxt = step(test, machine, tid)
-            ntags = tags
-            if ins.exch is not None:
-                ntags = tags[: ins.loc] + (tid,) + tags[ins.loc + 1 :]
-            a = (nxt, ntags)
-            if a not in aseen:
-                aseen.add(a)
-                astack.append(a)
-    return False
-
-
 def _span_worker(args):
     """Check every candidate whose first-thread program falls in a slice.
 
@@ -362,30 +318,23 @@ def _span_worker(args):
     """
     config, comp, lo, hi = args
     nl, vd = config.num_locations, config.value_domain
-    programs = {p: _thread_programs(p, nl, vd) for p in set(comp)}
-    props = {p: [_program_props(prog) for prog in programs[p]] for p in set(comp)}
-    perms = (
-        tuple(itertools.permutations(range(nl)))
-        if config.symmetry_reduction
-        else (tuple(range(nl)),)
-    )
+    vl, lanes, positions = _tables(comp, nl, vd)
 
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     accepted: dict[str, tuple[int, int]] = {}
     dup = 0
     candidates = 0
-    rest_pairs = [list(zip(programs[p], props[p])) for p in comp[1:]]
-    first_pairs = list(zip(programs[comp[0]], props[comp[0]]))[lo:hi]
     n = len(comp)
 
-    for prog0, p0 in first_pairs:
-        for rest in itertools.product(*rest_pairs):
+    for first in positions[0][lo:hi]:
+        for rest in itertools.product(*positions[1:]):
             candidates += 1
-            progs = (prog0,) + tuple(r[0] for r in rest)
-            prop = (p0,) + tuple(r[1] for r in rest)
+            cand = (first,) + rest
+            prop = [c[2] for c in cand]
             if not any(pr[0] for pr in prop):
                 rejected["no_nontermination_cycle"] += 1
                 continue
+            # Influence needs a branch on a location another thread writes.
             influence_possible = False
             for j in range(n):
                 others = 0
@@ -399,22 +348,13 @@ def _span_worker(args):
                 rejected["no_cross_thread_influence"] += 1
                 continue
             reason, n_states, n_actions = _check_candidate(
-                progs, nl, vd, config.max_states, config.max_actions
+                cand, vl, lanes, config.max_states, config.max_actions
             )
             if reason is not None:
                 rejected[reason] += 1
                 continue
-            threads = tuple(
-                tuple(
-                    AxbInstruction(loc, cmp_, jump, None if exch < 0 else exch)
-                    for (loc, cmp_, jump, exch) in prog
-                )
-                for prog in progs
-            )
-            body = min(
-                serialize_body(_relabel_locations(threads, perm), nl, vd)
-                for perm in perms
-            )
+            test = LitmusTest("candidate", nl, vd, tuple(c[0] for c in cand))
+            body = canonicalize(test, config.symmetry_reduction)
             if body in accepted:
                 dup += 1
             else:
@@ -429,8 +369,9 @@ def synthesize(config: SynthConfig) -> SynthResult:
 
     tasks = []
     for comp in comps:
-        total_first = len(
-            _thread_programs(comp[0], config.num_locations, config.value_domain)
+        total_first = math.prod(
+            len(_instruction_options(comp[0], i, config.num_locations, config.value_domain))
+            for i in range(comp[0])
         )
         if config.jobs == 1:
             tasks.append((config, comp, 0, total_first))

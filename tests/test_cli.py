@@ -195,3 +195,28 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert "not an integer" in str(exc.value)
+
+
+def test_emit_rejects_name_escaping_the_output(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    text = Path(MUTEX).read_text().replace("test mutex", "test ../escape")
+    (suite / "x.litmus").write_text(text)
+    out = tmp_path / "out" / "kernels"
+    rc = main(["emit", "--suite", str(suite), "--backend", "glsl", "--out", str(out)])
+    assert rc == 2
+    assert "single path component" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_rejects_entry_outside_the_suite(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (tmp_path / "secret.litmus").write_text(Path(MUTEX).read_text())
+    (suite / "suite.json").write_text(
+        json.dumps({"tests": [{"name": "mutex", "file": "../secret.litmus"}]})
+    )
+    rc = main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()

@@ -103,3 +103,12 @@ def test_duplicate_sections_rejected():
     dup = SAMPLE + "thread 0:\n  0: axb loc=0 cmp=0 jump=1 exch=none\n"
     with pytest.raises(LitmusParseError):
         parse_litmus(dup)
+
+
+@pytest.mark.parametrize("name", ["../escape", "a/b", "..", ".", "a\\b"])
+def test_name_must_be_one_path_component(name):
+    # suites and kernels are written to files named after the test
+    with pytest.raises(ValueError, match="single path component"):
+        parse_litmus(SAMPLE.replace("test demo", f"test {name}"))
+    with pytest.raises(ValueError, match="single path component"):
+        LitmusTest(name, 1, 2, ((I(0, 0, 1, None),),))

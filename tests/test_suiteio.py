@@ -29,3 +29,16 @@ def test_load_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_suite(tmp_path / "nope")
     assert load_suite(tmp_path) == []  # empty dir is an empty suite
+
+
+def test_load_rejects_entries_outside_the_suite(idioms, tmp_path):
+    suite = tmp_path / "suite"
+    save_suite([idioms["mutex"]], suite)
+    save_suite([idioms["dining"]], tmp_path)  # a readable file one level up
+    index = suite / "suite.json"
+    doc = json.loads(index.read_text())
+    for escape in ("../dining.litmus", "x/../../dining.litmus", str(tmp_path / "dining.litmus")):
+        doc["tests"][0]["file"] = escape
+        index.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="outside"):
+            load_suite(suite)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import naive
-from conftest import SUITE_CANDIDATES, SUITE_UNIQUE
+from conftest import IDIOM_LTS_SIZES, SUITE_CANDIDATES, SUITE_UNIQUE
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.litmus_io import serialize_body
 from progress_lab.lts import build_plain_lts
@@ -14,10 +14,9 @@ from progress_lab.models import ProgressModel
 from progress_lab.synth import (
     SynthConfig,
     _check_candidate,
-    _thread_programs,
+    _tables,
     canonicalize,
     compositions,
-    influence_holds,
     synthesize,
 )
 
@@ -60,11 +59,15 @@ def test_known_unique_counts(suites):
     assert suites(3, 3).stats.unique == SUITE_UNIQUE[(3, 3)]
 
 
-def test_lts_sizes_accompany_tests(small):
-    assert len(small.lts_sizes) == len(small.tests)
-    for t, (states, actions) in zip(small.tests, small.lts_sizes):
-        lts = build_plain_lts(t)
-        assert (len(lts.states), len(lts.transitions)) == (states, actions)
+def test_lts_sizes_accompany_tests(suites):
+    # (2,3) mixes thread lengths (1,2) and (2,1), so each pc multiplier
+    # of the packed states is exercised
+    for bounds in ((2, 2), (2, 3)):
+        result = suites(*bounds)
+        assert len(result.lts_sizes) == len(result.tests) == SUITE_UNIQUE[bounds]
+        for t, (states, actions) in zip(result.tests, result.lts_sizes):
+            lts = build_plain_lts(t)
+            assert (len(lts.states), len(lts.transitions)) == (states, actions)
 
 
 def test_names_follow_sorted_bodies(small):
@@ -108,11 +111,14 @@ def test_determinism(small):
     assert again.lts_sizes == small.lts_sizes
 
 
-def test_parallel_equals_serial(small):
-    par = synthesize(SynthConfig(num_threads=2, total_instructions=2, jobs=2))
-    assert [t.threads for t in par.tests] == [t.threads for t in small.tests]
-    assert par.stats.candidates == small.stats.candidates
-    assert par.stats.unique == small.stats.unique
+def test_parallel_equals_serial(suites):
+    for bounds in ((2, 2), (2, 3)):
+        serial = suites(*bounds)
+        par = synthesize(SynthConfig(*bounds, jobs=2))
+        assert [t.threads for t in par.tests] == [t.threads for t in serial.tests]
+        assert par.lts_sizes == serial.lts_sizes
+        assert par.stats.candidates == serial.stats.candidates
+        assert par.stats.unique == serial.stats.unique
 
 
 def test_size_caps_reject_and_match_filtering(small):
@@ -151,28 +157,34 @@ def test_canonicalize_maps_twins_together():
     )
 
 
-def test_influence_examples(idioms):
-    assert influence_holds(idioms["mutex"])
-    assert influence_holds(idioms["prodcons-increasing"])
-    disjoint = LitmusTest(
-        "apart", 2, 2,
-        ((I(0, 0, 0, 1), I(0, 1, 0, 0)), (I(1, 0, 0, 1), I(1, 1, 0, 0))),
+def _production_check(test):
+    """`_check_candidate` on `test`, with its input built by `_tables`."""
+    comp = tuple(len(p) for p in test.threads)
+    vl, lanes, positions = _tables(comp, test.num_locations, test.value_domain)
+    cand = tuple(
+        next(e for e in entries if e[0] == prog)
+        for entries, prog in zip(positions, test.threads)
     )
-    assert not influence_holds(disjoint)
+    return _check_candidate(cand, vl, lanes, None, None)
 
 
-def test_influence_accepts_precomputed_lts(idioms):
-    t = idioms["mutex"]
-    assert influence_holds(t, build_plain_lts(t))
+APART = LitmusTest(
+    "apart", 2, 2,
+    ((I(0, 0, 0, 1), I(0, 1, 0, 0)), (I(1, 0, 0, 1), I(1, 1, 0, 0))),
+)
 
 
-def test_influence_agrees_with_naive():
-    # the whole syntactically valid (2,2) candidate space, not just survivors
-    programs = naive.all_programs(1, 2, 2, True, AxbInstruction)
-    for p0 in programs:
-        for p1 in programs:
-            t = LitmusTest("x", 2, 2, (p0, p1))
-            assert influence_holds(t) == naive.naive_influence(t), (p0, p1)
+def test_checker_on_idioms(idioms):
+    for name, t in idioms.items():
+        assert _production_check(t) == (None, *IDIOM_LTS_SIZES[name]), name
+    # no thread influences the other, so neither can ever finish
+    assert _production_check(APART) == ("end_unreachable", 9, 18)
+
+
+def test_influence_examples(idioms):
+    assert naive.naive_influence(idioms["mutex"])
+    assert naive.naive_influence(idioms["prodcons-increasing"])
+    assert not naive.naive_influence(APART)
 
 
 def test_brute_force_equivalence_3_3(suites):
@@ -191,18 +203,15 @@ def test_checker_agrees_with_naive_on_whole_spaces():
     checked = 0
     for threads, instrs in ((2, 2), (3, 3)):
         for comp in compositions(instrs, threads):
-            per_thread = [_thread_programs(p, 2, 2) for p in comp]
-            for progs in itertools.product(*per_thread):
+            vl, lanes, positions = _tables(comp, 2, 2)
+            for cand in itertools.product(*positions):
                 checked += 1
-                t = LitmusTest("x", 2, 2, tuple(
-                    tuple(I(loc, c, j, None if e < 0 else e) for loc, c, j, e in p)
-                    for p in progs
-                ))
-                accepted = _check_candidate(progs, 2, 2, None, None)[0] is None
-                assert accepted == naive.naive_constraints_ok(t), progs
+                t = LitmusTest("x", 2, 2, tuple(c[0] for c in cand))
+                accepted = _check_candidate(cand, vl, lanes, None, None)[0] is None
+                assert accepted == naive.naive_constraints_ok(t), t.threads
                 # Why the checker needs no semantic influence pass: an
                 # end and a cycle together imply influence.
                 _, _, ends = naive.explore_plain(t)
                 if ends and naive.naive_unfair_fails(t):
-                    assert naive.naive_influence(t), progs
+                    assert naive.naive_influence(t), t.threads
     assert checked == SUITE_CANDIDATES[(2, 2)] + SUITE_CANDIDATES[(3, 3)]
