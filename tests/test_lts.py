@@ -1,9 +1,12 @@
 """State-space construction and component decomposition."""
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
+import naive
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.lts import (
     ExplorationLimitError,
@@ -12,6 +15,7 @@ from progress_lab.lts import (
     scc_decompose,
 )
 from progress_lab.models import ProgressModel, fair_set
+from strategies import litmus_tests
 
 I = AxbInstruction
 
@@ -163,3 +167,39 @@ def test_dot_and_json_renderings(idioms):
     assert len(data["transitions"]) == len(mon.transitions)
     assert data["initial"] == 0
     assert set(data["end_states"]) == set(mon.end_states)
+
+
+def assert_monitored_matches_naive(test):
+    """States, edge multiset, end states and terminated sets agree with the
+    independent exploration in `naive.explore_monitored`."""
+    lts = build_monitored_lts(test)
+    keys = [
+        (lts.machine(i).memory, lts.machine(i).pcs, lts.facts(i).stepped)
+        for i in range(len(lts))
+    ]
+    nodes, adj, _ = naive.explore_monitored(test, "fair")
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == nodes
+    edges = Counter((keys[tr.src], keys[tr.dst], tr.tid) for tr in lts.transitions)
+    assert edges == Counter((src, dst, t) for src, out in adj.items() for dst, t in out)
+    lengths = [len(p) for p in test.threads]
+    for i, (_, pcs, _) in enumerate(keys):
+        done = frozenset(t for t, n in enumerate(lengths) if pcs[t] >= n)
+        assert lts.facts(i).terminated == done
+    assert {keys[i] for i in lts.end_states} == {k for k in nodes if not adj[k]}
+
+
+def test_monitored_agrees_with_naive_on_idioms_and_suites(idioms, suites):
+    from conftest import capped_tests
+
+    for test in idioms.values():
+        assert_monitored_matches_naive(test)
+    for bounds in ((2, 3), (3, 3)):
+        for test in capped_tests(suites(*bounds), bounds):
+            assert_monitored_matches_naive(test)
+
+
+@settings(max_examples=80, deadline=None)
+@given(litmus_tests())
+def test_monitored_agrees_with_naive_on_random_tests(t):
+    assert_monitored_matches_naive(t)
