@@ -29,7 +29,7 @@ from .models import (
     parse_variant,
     variant_token,
 )
-from .oracle import Verdict, Witness, check_matrix, check_unfair, check_variant
+from .oracle import Verdict, Witness, check_matrix, check_variant
 from .schedsim import RunOutcome, SchedulerKind, SchedulerSpec, campaign, simulate
 from .suiteio import load_suite, save_suite
 from .synth import SynthConfig, SynthResult, synthesize
@@ -65,7 +65,6 @@ __all__ = [
     "build_plain_lts",
     "campaign",
     "check_matrix",
-    "check_unfair",
     "check_variant",
     "classify_suite",
     "default_hierarchy",

@@ -95,14 +95,6 @@ class LitmusTest:
         return MachineState((0,) * self.num_locations, (0,) * self.num_threads)
 
 
-def is_terminated(test: LitmusTest, state: MachineState, tid: int) -> bool:
-    return state.pcs[tid] >= len(test.threads[tid])
-
-
-def is_end_state(test: LitmusTest, state: MachineState) -> bool:
-    return all(pc >= len(prog) for pc, prog in zip(state.pcs, test.threads))
-
-
 def enabled_threads(test: LitmusTest, state: MachineState) -> tuple[int, ...]:
     """Threads that may step: exactly the non-terminated ones.
 

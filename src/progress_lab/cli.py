@@ -113,10 +113,9 @@ def _cmd_check(args, parser) -> int:
 def _cmd_lts_dump(args, parser) -> int:
     test = _load_test(args.file)
     model = None if args.model in (None, "unfair") else ProgressModel(args.model)
-    if model is None:
-        lts = build_plain_lts(test, args.max_states)
-    else:
-        lts = build_monitored_lts(test, args.max_states)
+    lts = build_plain_lts(test, args.max_states)
+    if model is not None:
+        lts = build_monitored_lts(lts, args.max_states)
     text = lts.to_dot(model) if args.format == "dot" else lts.to_json(model)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -137,16 +137,6 @@ class KernelArtifact:
     def buffer_cells(self) -> int:
         return self.cells_per_instance * self.instances
 
-    @property
-    def buffer_layout(self) -> dict:
-        return {
-            "cells": self.buffer_cells,
-            "bytes_per_cell": 4,
-            "cells_per_instance": self.cells_per_instance,
-            "instances": self.instances,
-            "zero_initialized": True,
-        }
-
 
 def _mapping_lines(variant: Variant, n: int, m: int, uint: str) -> list[str]:
     if variant is Variant.PLAIN:

@@ -1,16 +1,18 @@
 """Labeled transition systems over litmus tests.
 
 Two constructions share one representation.  The plain LTS explores
-machine states only.  The monitored LTS pairs each machine state with
-scheduler facts (who has stepped, who has terminated).  Its exploration
-does not depend on any progress model: only the fair set of a state
-does, so one monitored LTS serves every model, and `Lts.fair_sets`
-derives the fair sets of one model from the facts.  A transition's fair
-label is the fair set of its *source* state, i.e. the guarantee in
-force before the step.  Termination is folded into the completing step
-(the target state's facts already record it), so there are no separate
-termination transitions; cycles therefore never contain one, and the
-oracle treats terminations as freely available along escape paths.
+machine states only; it is the one exploration that runs `axb.step`.
+The monitored LTS is its product with the stepped-set monitor: each
+plain state paired with the set of threads that have stepped, plus the
+threads that have terminated there.  It does not depend on any progress
+model: only the fair set of a state does, so one monitored LTS serves
+every model, and `Lts.fair_sets` derives the fair sets of one model
+from the facts.  A transition's fair label is the fair set of its
+*source* state, i.e. the guarantee in force before the step.
+Termination is folded into the completing step (the target state's
+facts already record it), so there are no separate termination
+transitions; cycles therefore never contain one, and the oracle treats
+terminations as freely available along escape paths.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .axb import (
-    LitmusTest,
-    MachineState,
-    enabled_threads,
-    is_end_state,
-    step,
-)
-from .axb import AxbInstruction
+from .axb import AxbInstruction, LitmusTest, MachineState, enabled_threads, step
 from .models import ProgressModel, SchedulerFacts, fair_set
 
 DEFAULT_MAX_STATES = 10**6
@@ -187,7 +182,6 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
         enabled = enabled_threads(test, state)
         if not enabled:
             # Always-enabled semantics: only full termination disables a test.
-            assert is_end_state(test, state)
             end_states.append(src)
             continue
         for tid in enabled:
@@ -207,57 +201,55 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
     return Lts(test, states, transitions, end_states)
 
 
-def build_monitored_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
-    """Plain exploration augmented with scheduler facts.
+def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts:
+    """The product of `plain` with the stepped-set monitor.
 
-    The dedup key includes the stepped set: the fair set must be a
-    function of the state, and two histories reaching the same machine
-    state with different stepped sets carry different guarantees under
-    some model.
+    A product state pairs a plain state with the set of threads that have
+    stepped so far; each plain transition by thread t moves the pair
+    (p, stepped) to (dst, stepped | {t}).  The stepped set is part of the
+    state because the fair set must be a function of the state, and two
+    histories reaching one machine state with different stepped sets
+    carry different guarantees under some model.  A thread has
+    terminated once its pc is past its program, a function of the plain
+    state alone.  The search is breadth-first with successors in the
+    plain LTS's order (ascending thread id), so numbering is
+    deterministic.
     """
+    test = plain.test
     n = test.num_threads
-    lengths = tuple(len(p) for p in test.threads)
-    initial = MonitoredState(
-        test.initial_state(), SchedulerFacts(frozenset(), frozenset(), n)
-    )
-    index: dict[tuple[MachineState, frozenset[int]], int] = {
-        (initial.machine, initial.facts.stepped): 0
-    }
-    states: list[MonitoredState] = [initial]
+    lengths = [len(p) for p in test.threads]
+    terminated = [
+        frozenset(t for t in range(n) if m.pcs[t] >= lengths[t]) for m in plain.states
+    ]
+    ends = set(plain.end_states)
+    pairs: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
+    index = {pairs[0]: 0}
+    states = [MonitoredState(plain.states[0], SchedulerFacts(frozenset(), terminated[0], n))]
     transitions: list[Transition] = []
     end_states: list[int] = []
-    frontier = 0
-    while frontier < len(states):
-        src = frontier
-        frontier += 1
-        mon = states[src]
-        enabled = enabled_threads(test, mon.machine)
-        if not enabled:
+    for src, (p, stepped) in enumerate(pairs):
+        if p in ends:
             end_states.append(src)
             continue
-        for tid in enabled:
-            machine = step(test, mon.machine, tid)
-            stepped = mon.facts.stepped | {tid}
-            # Only tid's pc moved, so only tid can newly terminate.
-            if machine.pcs[tid] >= lengths[tid]:
-                terminated = mon.facts.terminated | {tid}
-            else:
-                terminated = mon.facts.terminated
-            key = (machine, stepped)
+        for ti in plain.out[p]:
+            tr = plain.transitions[ti]
+            key = (tr.dst, stepped | {tr.tid})
             dst = index.get(key)
             if dst is None:
-                if len(states) >= max_states:
+                if len(pairs) >= max_states:
                     raise ExplorationLimitError(
                         f"monitored LTS of {test.name!r} exceeds {max_states} states"
                     )
-                dst = len(states)
+                dst = len(pairs)
                 index[key] = dst
+                pairs.append(key)
                 states.append(
-                    MonitoredState(machine, SchedulerFacts(stepped, terminated, n))
+                    MonitoredState(
+                        plain.states[tr.dst],
+                        SchedulerFacts(key[1], terminated[tr.dst], n),
+                    )
                 )
-            transitions.append(
-                Transition(src, dst, tid, test.threads[tid][mon.machine.pcs[tid]])
-            )
+            transitions.append(Transition(src, dst, tr.tid, tr.instr))
     return Lts(test, states, transitions, end_states)
 
 

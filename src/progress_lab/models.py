@@ -180,9 +180,3 @@ def default_hierarchy(include_hsa_obe: bool = False) -> Hierarchy:
     edges += [((m, W), (m, S)) for m in models]
     return Hierarchy(edges)
 
-
-def strictly_less_fair(
-    a: ModelVariant, b: ModelVariant, include_hsa_obe: bool = False
-) -> bool:
-    """Convenience wrapper over `default_hierarchy`."""
-    return default_hierarchy(include_hsa_obe).less_fair(a, b)

@@ -17,7 +17,10 @@ or when a fair step leads to a good state.  It passes when every
 reachable state is good.  A weak pass implies a strong pass.
 
 The unfair model has a single collapsed verdict: with no guarantees at
-all, only an acyclic state space terminates.
+all, only an acyclic state space terminates.  It is decided on the
+plain LTS, which is also the input of the monitored LTS (its product
+with the stepped-set monitor), so each check explores the test's
+machine once.
 """
 
 from __future__ import annotations
@@ -200,43 +203,30 @@ def _flavored(lts: Lts, sccs: list[Scc], model: ProgressModel) -> dict[Fairness,
     return {Fairness.WEAK: _weak(lts, sccs, fair), Fairness.STRONG: _strong(lts, fair)}
 
 
-def check_unfair(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Verdict:
+def _unfair(plain: Lts) -> Verdict:
     """Pass iff the plain LTS is acyclic: no guarantees, so any loop may spin.
 
     That is the weak check with every fair set empty.
     """
-    lts = build_plain_lts(test, max_states)
-    return _weak(lts, scc_decompose(lts), [frozenset()] * len(lts))
-
-
-def _check_monitored(
-    test: LitmusTest, model: ProgressModel, max_states: int
-) -> dict[Fairness, Verdict]:
-    if model is ProgressModel.UNFAIR:
-        raise ValueError("the unfair model has a single verdict; use check_unfair")
-    lts = build_monitored_lts(test, max_states)
-    return _flavored(lts, scc_decompose(lts), model)
-
-
-def check_weak(
-    test: LitmusTest, model: ProgressModel, max_states: int = DEFAULT_MAX_STATES
-) -> Verdict:
-    return _check_monitored(test, model, max_states)[Fairness.WEAK]
-
-
-def check_strong(
-    test: LitmusTest, model: ProgressModel, max_states: int = DEFAULT_MAX_STATES
-) -> Verdict:
-    return _check_monitored(test, model, max_states)[Fairness.STRONG]
+    return _weak(plain, scc_decompose(plain), [frozenset()] * len(plain))
 
 
 def check_variant(
     test: LitmusTest, variant: ModelVariant, max_states: int = DEFAULT_MAX_STATES
 ) -> Verdict:
+    """The verdict of one model variant; the unfair model has no flavor."""
     model, flavor = variant
-    if model is ProgressModel.UNFAIR:
-        return check_unfair(test, max_states)
-    return _check_monitored(test, model, max_states)[flavor]
+    if (model is ProgressModel.UNFAIR) != (flavor is None):
+        need = "takes no" if flavor is not None else "needs a"
+        raise ValueError(f"model {model.value} {need} fairness flavor")
+    plain = build_plain_lts(test, max_states)
+    if flavor is None:
+        return _unfair(plain)
+    lts = build_monitored_lts(plain, max_states)
+    fair = lts.fair_sets(model)
+    if flavor is Fairness.STRONG:
+        return _strong(lts, fair)
+    return _weak(lts, scc_decompose(lts), fair)
 
 
 def check_matrix(
@@ -246,12 +236,15 @@ def check_matrix(
 ) -> dict[str, Verdict]:
     """All verdict-producing models at once.
 
-    One monitored LTS and one SCC decomposition of it are shared by the
-    weak and strong checks of every model; only the fair sets differ.
+    The plain LTS gives the unfair verdict and is the input of the
+    monitored LTS.  One monitored LTS and one SCC decomposition of it
+    are shared by the weak and strong checks of every model; only the
+    fair sets differ.
     """
     variants = all_model_variants(include_hsa_obe)
-    unfair = check_unfair(test, max_states)
-    lts = build_monitored_lts(test, max_states)
+    plain = build_plain_lts(test, max_states)
+    unfair = _unfair(plain)
+    lts = build_monitored_lts(plain, max_states)
     sccs = scc_decompose(lts)
     flavored = {m: _flavored(lts, sccs, m) for m, flavor in variants if flavor is Fairness.WEAK}
     return {

@@ -69,7 +69,7 @@ class _RoundRobin:
         self.n = num_threads
         self.next_tid = 0
 
-    def pick(self, alive: list[int]) -> int:
+    def pick(self, alive: tuple[int, ...]) -> int:
         for tid in alive:
             if tid >= self.next_tid:
                 break
@@ -102,7 +102,7 @@ class _Nonpreemptive:
             if tid in alive_set:
                 self.admitted.append(tid)
 
-    def pick(self, alive: list[int]) -> int:
+    def pick(self, alive: tuple[int, ...]) -> int:
         self._refill(set(alive))
         self.rr %= len(self.admitted)
         tid = self.admitted[self.rr]
@@ -119,7 +119,7 @@ class _UnfairRandom:
     def __init__(self, rng: random.Random):
         self.rng = rng
 
-    def pick(self, alive: list[int]) -> int:
+    def pick(self, alive: tuple[int, ...]) -> int:
         return self.rng.choice(alive)
 
 
@@ -130,7 +130,7 @@ class _HsaPriority:
         self.rng = rng
         self.p = priority_prob
 
-    def pick(self, alive: list[int]) -> int:
+    def pick(self, alive: tuple[int, ...]) -> int:
         if self.rng.random() < self.p:
             return alive[0]
         return self.rng.choice(alive)
@@ -159,7 +159,7 @@ def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
     seen: set[tuple[MachineState, object]] = set()
     sched = _make_scheduler(spec, test.num_threads)
     while steps < spec.step_budget:
-        alive = sorted(enabled_threads(test, machine))
+        alive = enabled_threads(test, machine)
         if not alive:
             return RunOutcome(True, steps, tuple(counts))
         if sched.deterministic:

@@ -51,6 +51,10 @@ def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
             files.append(root / rel)
     else:
         files = sorted(root.glob("*.litmus"))
-    if not files:
-        return []
-    return [parse_litmus(f.read_text(encoding="utf-8")) for f in files]
+    tests = []
+    for f in files:
+        try:
+            tests.append(parse_litmus(f.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{f}: {exc}") from exc
+    return tests

@@ -24,6 +24,7 @@ on one core.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -152,6 +153,7 @@ def _row(ins, idx, mult, shift, num_locations, value_domain):
     return tuple(row)
 
 
+@functools.lru_cache(maxsize=1)
 def _tables(comp, num_locations: int, value_domain: int):
     """Packing and per-position programs for one composition.
 
@@ -160,6 +162,8 @@ def _tables(comp, num_locations: int, value_domain: int):
     thread, programs per thread); each program comes as (instructions,
     table row per pc with None for the terminated pc, `_program_props`).
     Rows are built once per (index, option) and shared by all programs.
+    The last result is kept: tasks are queued in composition order, so a
+    worker process mostly gets several slices of one composition in a row.
     """
     vl = value_domain**num_locations
     lanes = []

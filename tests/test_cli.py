@@ -220,3 +220,14 @@ def test_classify_rejects_entry_outside_the_suite(tmp_path, capsys):
     assert rc == 2
     assert "outside" in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def test_classify_names_the_file_that_fails_to_parse(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "a.litmus").write_text(Path(MUTEX).read_text().replace("cmp=1", "cmp=5", 1))
+    rc = main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{suite / 'a.litmus'}: line " in err and "compare value 5 out of range" in err
+    assert not (tmp_path / "rep").exists()

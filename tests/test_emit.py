@@ -162,10 +162,6 @@ def test_artifact_buffer_layout(idioms):
     )
     assert artifact.cells_per_instance == idioms["bidirectional"].num_locations
     assert artifact.buffer_cells == artifact.cells_per_instance * 4
-    layout = artifact.buffer_layout
-    assert layout["cells"] == artifact.buffer_cells
-    assert layout["bytes_per_cell"] == 4
-    assert layout["zero_initialized"] is True
 
 
 def test_harness_roundtrip_plain(idioms):

@@ -69,7 +69,7 @@ def test_plain_has_no_fairness_info(idioms):
 
 
 def test_monitored_tracks_stepped_and_fair(idioms):
-    lts = build_monitored_lts(idioms["mutex"])
+    lts = build_monitored_lts(build_plain_lts(idioms["mutex"]))
     assert lts.is_monitored
     assert lts.facts(lts.initial).stepped == frozenset()
     fair = lts.fair_sets(ProgressModel.OBE)
@@ -82,14 +82,14 @@ def test_monitored_tracks_stepped_and_fair(idioms):
 def test_monitored_merges_on_machine_and_stepped(idioms):
     # prodcons-increasing: after both threads stepped once each in either
     # order, machine and stepped coincide, so the states merge
-    lts = build_monitored_lts(idioms["prodcons-increasing"])
+    lts = build_monitored_lts(build_plain_lts(idioms["prodcons-increasing"]))
     keys = {(lts.machine(i), lts.facts(i).stepped) for i in range(len(lts.states))}
     assert len(keys) == len(lts.states)
 
 
 def test_monitored_is_larger_than_plain(idioms):
     t = idioms["dining"]
-    assert len(build_monitored_lts(t).states) > len(
+    assert len(build_monitored_lts(build_plain_lts(t)).states) > len(
         build_plain_lts(t).states
     )
 
@@ -103,11 +103,18 @@ def test_exploration_limit():
     lts = build_plain_lts(SPIN_FOREVER, max_states=1)
     assert len(lts.states) == 1
     assert len(lts.transitions) == 1
+    # the monitored LTS counts its own states against the cap
+    plain = build_plain_lts(toggle)
+    mon = build_monitored_lts(plain)
+    assert len(mon) > len(plain)
+    with pytest.raises(ExplorationLimitError, match="monitored"):
+        build_monitored_lts(plain, max_states=len(mon) - 1)
+    assert len(build_monitored_lts(plain, max_states=len(mon))) == len(mon)
 
 
 def test_fair_set_constant_within_scc(idioms):
     for t in idioms.values():
-        lts = build_monitored_lts(t)
+        lts = build_monitored_lts(build_plain_lts(t))
         for model in (ProgressModel.HSA, ProgressModel.OBE, ProgressModel.LOBE,
                       ProgressModel.FAIR):
             fair = lts.fair_sets(model)
@@ -117,7 +124,7 @@ def test_fair_set_constant_within_scc(idioms):
 
 
 def test_scc_partition_and_labels(idioms):
-    lts = build_monitored_lts(idioms["mutex"])
+    lts = build_monitored_lts(build_plain_lts(idioms["mutex"]))
     sccs = scc_decompose(lts)
     seen = sorted(i for c in sccs for i in c.members)
     assert seen == list(range(len(lts.states)))
@@ -147,8 +154,8 @@ def test_two_state_cycle_is_one_scc():
 
 
 def test_build_is_deterministic(idioms):
-    a = build_monitored_lts(idioms["dining"])
-    b = build_monitored_lts(idioms["dining"])
+    a = build_monitored_lts(build_plain_lts(idioms["dining"]))
+    b = build_monitored_lts(build_plain_lts(idioms["dining"]))
     assert a.states == b.states
     assert a.transitions == b.transitions
     assert a.end_states == b.end_states
@@ -159,7 +166,7 @@ def test_dot_and_json_renderings(idioms):
     dot = plain.to_dot()
     assert dot.startswith("digraph") and "s0" in dot and dot.count("->") == 10
 
-    mon = build_monitored_lts(idioms["mutex"])
+    mon = build_monitored_lts(build_plain_lts(idioms["mutex"]))
     data = json.loads(mon.to_json(ProgressModel.HSA))
     assert data == mon.to_json_dict(ProgressModel.HSA)
     assert data["model"] == "hsa"
@@ -172,7 +179,7 @@ def test_dot_and_json_renderings(idioms):
 def assert_monitored_matches_naive(test):
     """States, edge multiset, end states and terminated sets agree with the
     independent exploration in `naive.explore_monitored`."""
-    lts = build_monitored_lts(test)
+    lts = build_monitored_lts(build_plain_lts(test))
     keys = [
         (lts.machine(i).memory, lts.machine(i).pcs, lts.facts(i).stepped)
         for i in range(len(lts))

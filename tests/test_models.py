@@ -14,7 +14,6 @@ from progress_lab.models import (
     default_hierarchy,
     fair_set,
     parse_variant,
-    strictly_less_fair,
     variant_token,
 )
 
@@ -161,6 +160,7 @@ def test_hierarchy_rejects_cycles():
         Hierarchy([(a, b), (b, a)])
 
 
-def test_strictly_less_fair_wrapper():
-    assert strictly_less_fair(UNFAIR_VARIANT, (M.FAIR, Fairness.WEAK))
-    assert not strictly_less_fair((M.FAIR, Fairness.STRONG), UNFAIR_VARIANT)
+def test_unfair_is_below_every_variant():
+    h = default_hierarchy()
+    assert h.less_fair(UNFAIR_VARIANT, (M.FAIR, Fairness.WEAK))
+    assert not h.less_fair((M.FAIR, Fairness.STRONG), UNFAIR_VARIANT)

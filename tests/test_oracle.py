@@ -9,6 +9,7 @@ from conftest import IDIOM_PASSES
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.lts import ExplorationLimitError
 from progress_lab.models import (
+    UNFAIR_VARIANT,
     Fairness,
     ProgressModel,
     all_model_variants,
@@ -19,15 +20,13 @@ from progress_lab.oracle import (
     Verdict,
     WitnessKind,
     check_matrix,
-    check_strong,
-    check_unfair,
     check_variant,
-    check_weak,
     format_witness,
 )
 from strategies import litmus_tests
 
 I = AxbInstruction
+WEAK, STRONG = Fairness.WEAK, Fairness.STRONG
 
 MONITORED_MODELS = (
     ProgressModel.HSA,
@@ -62,9 +61,12 @@ def test_acyclic_test_passes_everything():
 
 
 def test_unfair_model_is_rejected_by_flavored_checks(idioms):
-    for check in (check_weak, check_strong):
+    for flavor in (WEAK, STRONG):
         with pytest.raises(ValueError):
-            check(idioms["mutex"], ProgressModel.UNFAIR)
+            check_variant(idioms["mutex"], (ProgressModel.UNFAIR, flavor))
+    # and a fair model needs a flavor
+    with pytest.raises(ValueError):
+        check_variant(idioms["mutex"], (ProgressModel.HSA, None))
 
 
 def test_check_variant_dispatch(idioms):
@@ -95,7 +97,7 @@ def test_every_idiom_failure_replays(idioms):
 
 
 def test_cycle_witness_covers_fair_set(idioms):
-    w = check_weak(idioms["mutex"], ProgressModel.HSA).witness
+    w = check_variant(idioms["mutex"], (ProgressModel.HSA, WEAK)).witness
     assert w.kind is WitnessKind.CYCLE
     stepping = {s.tid for s in w.cycle}
     assert stepping >= w.cycle[0].fair_before
@@ -104,7 +106,7 @@ def test_cycle_witness_covers_fair_set(idioms):
 
 
 def test_stuck_witness_shape(idioms):
-    v = check_strong(idioms["prodcons-decreasing"], ProgressModel.HSA)
+    v = check_variant(idioms["prodcons-decreasing"], (ProgressModel.HSA, STRONG))
     assert not v.passed
     w = v.witness
     assert w.kind is WitnessKind.STUCK
@@ -114,20 +116,20 @@ def test_stuck_witness_shape(idioms):
 
 
 def test_format_witness_rendering(idioms):
-    cyc = check_weak(idioms["dining"], ProgressModel.FAIR).witness
+    cyc = check_variant(idioms["dining"], (ProgressModel.FAIR, WEAK)).witness
     text = format_witness(cyc)
     assert text.startswith("# path")
     assert "# cycle" in text
     assert "T0 pc=0 F={0,1}" in text or "T1 pc=0 F={0,1}" in text
 
-    stuck = check_strong(idioms["prodcons-decreasing"], ProgressModel.OBE).witness
+    stuck = check_variant(idioms["prodcons-decreasing"], (ProgressModel.OBE, STRONG)).witness
     text = format_witness(stuck)
     assert "# stuck state:" in text and "mem=" in text
 
 
 def test_max_states_limit_propagates(idioms):
     with pytest.raises(ExplorationLimitError):
-        check_weak(idioms["mutex"], ProgressModel.FAIR, max_states=2)
+        check_variant(idioms["mutex"], (ProgressModel.FAIR, WEAK), max_states=2)
     with pytest.raises(ExplorationLimitError):
         check_matrix(idioms["mutex"], max_states=2)
 
@@ -143,16 +145,16 @@ def test_matrix_is_deterministic(idioms):
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_weak_pass_implies_strong_pass(t):
     for model in MONITORED_MODELS:
-        if check_weak(t, model).passed:
-            assert check_strong(t, model).passed, model.value
+        if check_variant(t, (model, WEAK)).passed:
+            assert check_variant(t, (model, STRONG)).passed, model.value
 
 
 @settings(max_examples=60, deadline=None)
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_monotone_along_model_chain(t):
-    weak = {m: check_weak(t, m).passed for m in MONITORED_MODELS}
-    strong = {m: check_strong(t, m).passed for m in MONITORED_MODELS}
-    unfair = check_unfair(t).passed
+    weak = {m: check_variant(t, (m, WEAK)).passed for m in MONITORED_MODELS}
+    strong = {m: check_variant(t, (m, STRONG)).passed for m in MONITORED_MODELS}
+    unfair = check_variant(t, UNFAIR_VARIANT).passed
     # containment along unfair < hsa/obe < hsa+obe < lobe < fair, per flavor
     for table in (weak, strong):
         if unfair:
@@ -170,12 +172,12 @@ def test_monotone_along_model_chain(t):
 @settings(max_examples=40, deadline=None)
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_agreement_with_naive_oracles(t):
-    assert check_unfair(t).passed == (not naive.naive_unfair_fails(t))
+    assert check_variant(t, UNFAIR_VARIANT).passed == (not naive.naive_unfair_fails(t))
     for model in MONITORED_MODELS:
-        assert check_weak(t, model).passed == (
+        assert check_variant(t, (model, WEAK)).passed == (
             not naive.naive_weak_fails(t, model.value)
         ), ("weak", model.value)
-        assert check_strong(t, model).passed == (
+        assert check_variant(t, (model, STRONG)).passed == (
             not naive.naive_strong_fails(t, model.value)
         ), ("strong", model.value)
 
@@ -183,7 +185,7 @@ def test_agreement_with_naive_oracles(t):
 @settings(max_examples=40, deadline=None)
 @given(litmus_tests(max_threads=3, max_instructions=2), st.sampled_from(MONITORED_MODELS))
 def test_random_failures_replay(t, model):
-    for verdict in (check_weak(t, model), check_strong(t, model)):
+    for verdict in (check_variant(t, (model, WEAK)), check_variant(t, (model, STRONG))):
         if not verdict.passed:
             naive.replay_witness(t, verdict.witness)
 

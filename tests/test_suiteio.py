@@ -42,3 +42,11 @@ def test_load_rejects_entries_outside_the_suite(idioms, tmp_path):
         index.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="outside"):
             load_suite(suite)
+
+
+def test_load_names_the_file_that_fails_to_parse(idioms, tmp_path):
+    save_suite([idioms["mutex"], idioms["dining"]], tmp_path)
+    bad = tmp_path / "dining.litmus"
+    bad.write_text(bad.read_text().replace("cmp=1", "cmp=5", 1))
+    with pytest.raises(ValueError, match=r"dining\.litmus: line \d+, column \d+: compare value 5"):
+        load_suite(tmp_path)
