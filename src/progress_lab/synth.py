@@ -162,8 +162,9 @@ def _tables(comp, num_locations: int, value_domain: int):
     thread, programs per thread); each program comes as (instructions,
     table row per pc with None for the terminated pc, `_program_props`).
     Rows are built once per (index, option) and shared by all programs.
-    The last result is kept: tasks are queued in composition order, so a
-    worker process mostly gets several slices of one composition in a row.
+    The last result is kept, all tuples so callers cannot change it:
+    tasks are queued in composition order, so a worker process mostly
+    gets several slices of one composition in a row.
     """
     vl = value_domain**num_locations
     lanes = []
@@ -180,17 +181,17 @@ def _tables(comp, num_locations: int, value_domain: int):
             for i, opts in enumerate(per_idx)
         ]
         positions.append(
-            [
+            tuple(
                 (prog, rows + (None,), _program_props(prog, shift))
                 for prog, rows in zip(
                     itertools.product(*per_idx), itertools.product(*per_idx_rows)
                 )
-            ]
+            )
         )
         lanes.append((mult, length + 1))
         mult *= length + 1
         shift += 2 * length
-    return vl, tuple(lanes), positions
+    return vl, tuple(lanes), tuple(positions)
 
 
 def _check_candidate(
