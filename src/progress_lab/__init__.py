@@ -26,10 +26,9 @@ from .models import (
     all_model_variants,
     default_hierarchy,
     fair_set,
-    parse_variant,
     variant_token,
 )
-from .oracle import Verdict, Witness, check_matrix, check_variant
+from .oracle import Verdict, Witness, check_matrix
 from .schedsim import RunOutcome, SchedulerKind, SchedulerSpec, campaign, simulate
 from .suiteio import load_suite, save_suite
 from .synth import SynthConfig, SynthResult, synthesize
@@ -65,7 +64,6 @@ __all__ = [
     "build_plain_lts",
     "campaign",
     "check_matrix",
-    "check_variant",
     "classify_suite",
     "default_hierarchy",
     "emit_kernel",
@@ -73,7 +71,6 @@ __all__ = [
     "fair_set",
     "load_suite",
     "parse_litmus",
-    "parse_variant",
     "save_suite",
     "scc_decompose",
     "serialize_litmus",

@@ -87,10 +87,6 @@ class LitmusTest:
     def num_threads(self) -> int:
         return len(self.threads)
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(len(p) for p in self.threads)
-
     def initial_state(self) -> MachineState:
         return MachineState((0,) * self.num_locations, (0,) * self.num_threads)
 

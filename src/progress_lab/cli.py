@@ -16,17 +16,16 @@ from pathlib import Path
 
 from .classify import classify_suite, summary_from_partitions, summary_text, write_report
 from .emit import Backend, EmitConfig, Variant, emit_suite, expand_layout, resolve_instances
-from .litmus_io import parse_litmus
 from .lts import (
     DEFAULT_MAX_STATES,
     ExplorationLimitError,
     build_monitored_lts,
     build_plain_lts,
 )
-from .models import ProgressModel, default_hierarchy, parse_variant
-from .oracle import check_variant, format_witness
+from .models import Fairness, ProgressModel, default_hierarchy, variant_token
+from .oracle import check_matrix, format_witness
 from .schedsim import DEFAULT_STEP_BUDGET, SchedulerKind, SchedulerSpec, campaign
-from .suiteio import load_suite, save_suite
+from .suiteio import load_suite, load_test, save_suite
 from .synth import SynthConfig, synthesize
 
 log = logging.getLogger("progress_lab")
@@ -44,11 +43,6 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: PROGRESS_LAB_SEED is not an integer: {env!r}") from exc
     return 0
-
-
-def _load_test(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_litmus(text)
 
 
 def _cmd_synth(args) -> int:
@@ -82,22 +76,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _variant_from_args(parser, args):
-    if args.model == "unfair":
-        if args.fairness is not None:
-            parser.error("--fairness does not apply to the unfair model")
-        return parse_variant("unfair")
-    if args.fairness is None:
-        parser.error(f"--fairness is required for model {args.model!r}")
-    return parse_variant(f"{args.fairness}-{args.model}")
-
-
 def _cmd_check(args, parser) -> int:
-    variant = _variant_from_args(parser, args)
+    if args.model == "unfair" and args.fairness is not None:
+        parser.error("--fairness does not apply to the unfair model")
+    if args.model != "unfair" and args.fairness is None:
+        parser.error(f"--fairness is required for model {args.model!r}")
+    flavor = None if args.fairness is None else Fairness(args.fairness)
+    column = variant_token((ProgressModel(args.model), flavor))
     mismatches = 0
     for path in args.files:
-        test = _load_test(path)
-        verdict = check_variant(test, variant, args.max_states)
+        test = load_test(path)
+        verdict = check_matrix(test, args.max_states)[column]
         label = verdict.token
         if len(args.files) == 1:
             print(label)
@@ -111,7 +100,7 @@ def _cmd_check(args, parser) -> int:
 
 
 def _cmd_lts_dump(args, parser) -> int:
-    test = _load_test(args.file)
+    test = load_test(args.file)
     model = None if args.model in (None, "unfair") else ProgressModel(args.model)
     lts = build_plain_lts(test, args.max_states)
     if model is not None:

@@ -341,7 +341,10 @@ def emit_amber(test: LitmusTest, config: EmitConfig) -> str:
     """Amber script embedding the GLSL shader, for external execution."""
     if config.backend is not Backend.GLSL:
         raise ValueError("Amber wraps the glsl backend only")
-    artifact = emit_kernel(test, config)
+    return _amber_script(emit_kernel(test, config))
+
+
+def _amber_script(artifact: KernelArtifact) -> str:
     lines = [
         "#!amber",
         "",
@@ -389,9 +392,7 @@ def emit_suite(tests, configs, out_dir: str | Path) -> dict:
                 }
                 if config.backend is Backend.GLSL:
                     amber_name = f"{test.name}.{config.variant.value}.amber"
-                    (out / amber_name).write_text(
-                        emit_amber(test, config), encoding="utf-8"
-                    )
+                    (out / amber_name).write_text(_amber_script(artifact), encoding="utf-8")
                     entry["companion"] = amber_name
                 entries.append(entry)
             except Exception as exc:  # noqa: BLE001 - partial failures recorded

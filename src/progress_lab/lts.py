@@ -4,11 +4,14 @@ Two constructions share one representation.  The plain LTS explores
 machine states only; it is the one exploration that runs `axb.step`.
 The monitored LTS is its product with the stepped-set monitor: each
 plain state paired with the set of threads that have stepped, plus the
-threads that have terminated there.  It does not depend on any progress
-model: only the fair set of a state does, so one monitored LTS serves
-every model, and `Lts.fair_sets` derives the fair sets of one model
-from the facts.  A transition's fair label is the fair set of its
-*source* state, i.e. the guarantee in force before the step.
+threads that have terminated there.  Both kinds hold machine states in
+`Lts.states`; a monitored LTS also holds each state's `SchedulerFacts`
+in `Lts.facts`, which is None for a plain one.  The monitored LTS does
+not depend on any progress model: only the fair set of a state does,
+so one monitored LTS serves every model, and `Lts.fair_sets` derives
+the fair sets of one model from the facts.  A transition's fair label
+is the fair set of its *source* state, i.e. the guarantee in force
+before the step.
 Termination is folded into the completing step (the target state's
 facts already record it), so there are no separate termination
 transitions; cycles therefore never contain one, and the oracle treats
@@ -31,12 +34,6 @@ class ExplorationLimitError(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class MonitoredState:
-    machine: MachineState
-    facts: SchedulerFacts
-
-
-@dataclass(frozen=True, slots=True)
 class Transition:
     """One step: thread `tid` runs `instr`, moving state `src` to `dst`."""
 
@@ -49,38 +46,29 @@ class Transition:
 class Lts:
     """Reachable states (index 0 = initial) plus labeled transitions.
 
-    States are `MachineState` for plain LTSs and `MonitoredState` for
-    monitored ones.  State numbering is breadth-first discovery order
-    with threads explored in ascending id, so it is deterministic.
+    `states[i]` is the machine state of state i.  `facts[i]` is its
+    scheduler facts in a monitored LTS; `facts` is None in a plain one.
+    State numbering is breadth-first discovery order with threads
+    explored in ascending id, so it is deterministic.
     """
 
     def __init__(
         self,
         test: LitmusTest,
-        states: list,
+        states: list[MachineState],
         transitions: list[Transition],
         end_states: list[int],
+        facts: list[SchedulerFacts] | None = None,
     ):
         self.test = test
         self.states = states
+        self.facts = facts
         self.transitions = transitions
         self.end_states = end_states
         self.initial = 0
         self.out: list[list[int]] = [[] for _ in states]
         for idx, tr in enumerate(transitions):
             self.out[tr.src].append(idx)
-
-    @property
-    def is_monitored(self) -> bool:
-        return isinstance(self.states[0], MonitoredState)
-
-    def machine(self, state_id: int) -> MachineState:
-        s = self.states[state_id]
-        return s.machine if isinstance(s, MonitoredState) else s
-
-    def facts(self, state_id: int) -> SchedulerFacts | None:
-        s = self.states[state_id]
-        return s.facts if isinstance(s, MonitoredState) else None
 
     def fair_sets(self, model: ProgressModel) -> list[frozenset[int]]:
         """The fair set of every state under `model`, indexed by state id.
@@ -89,15 +77,15 @@ class Lts:
         set, so `fair_set` runs once per distinct pair, not once per state
         or transition.
         """
-        if not self.is_monitored:
+        if self.facts is None:
             raise ValueError("a plain LTS carries no scheduler facts")
         by_facts: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
         out = []
-        for s in self.states:
-            key = (s.facts.stepped, s.facts.terminated)
+        for facts in self.facts:
+            key = (facts.stepped, facts.terminated)
             fair = by_facts.get(key)
             if fair is None:
-                fair = by_facts[key] = fair_set(model, s.facts)
+                fair = by_facts[key] = fair_set(model, facts)
             out.append(fair)
         return out
 
@@ -109,12 +97,11 @@ class Lts:
         fair = None if model is None else self.fair_sets(model)
         lines = ["digraph lts {", "  rankdir=LR;"]
         ends = set(self.end_states)
-        for idx in range(len(self.states)):
-            m = self.machine(idx)
+        for idx, m in enumerate(self.states):
             label = f"s{idx}\\nmem={','.join(map(str, m.memory))}\\npc={','.join(map(str, m.pcs))}"
-            facts = self.facts(idx)
-            if facts is not None:
-                label += f"\\nstepped={{{','.join(map(str, sorted(facts.stepped)))}}}"
+            if self.facts is not None:
+                stepped = self.facts[idx].stepped
+                label += f"\\nstepped={{{','.join(map(str, sorted(stepped)))}}}"
             shape = "doublecircle" if idx in ends else "circle"
             lines.append(f'  s{idx} [shape={shape}, label="{label}"];')
         for tr in self.transitions:
@@ -129,11 +116,10 @@ class Lts:
     def to_json_dict(self, model: ProgressModel | None = None) -> dict:
         fair = None if model is None else self.fair_sets(model)
         states = []
-        for idx in range(len(self.states)):
-            m = self.machine(idx)
+        for idx, m in enumerate(self.states):
             entry: dict = {"memory": list(m.memory), "pcs": list(m.pcs)}
-            facts = self.facts(idx)
-            if facts is not None:
+            if self.facts is not None:
+                facts = self.facts[idx]
                 entry["stepped"] = sorted(facts.stepped)
                 entry["terminated"] = sorted(facts.terminated)
             states.append(entry)
@@ -211,9 +197,10 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
     histories reaching one machine state with different stepped sets
     carry different guarantees under some model.  A thread has
     terminated once its pc is past its program, a function of the plain
-    state alone.  The search is breadth-first with successors in the
-    plain LTS's order (ascending thread id), so numbering is
-    deterministic.
+    state alone.  Each product state reuses its plain state's
+    `MachineState` and records its facts in the parallel `facts` list.
+    The search is breadth-first with successors in the plain LTS's order
+    (ascending thread id), so numbering is deterministic.
     """
     test = plain.test
     n = test.num_threads
@@ -224,7 +211,6 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
     ends = set(plain.end_states)
     pairs: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
     index = {pairs[0]: 0}
-    states = [MonitoredState(plain.states[0], SchedulerFacts(frozenset(), terminated[0], n))]
     transitions: list[Transition] = []
     end_states: list[int] = []
     for src, (p, stepped) in enumerate(pairs):
@@ -243,14 +229,10 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
                 dst = len(pairs)
                 index[key] = dst
                 pairs.append(key)
-                states.append(
-                    MonitoredState(
-                        plain.states[tr.dst],
-                        SchedulerFacts(key[1], terminated[tr.dst], n),
-                    )
-                )
             transitions.append(Transition(src, dst, tr.tid, tr.instr))
-    return Lts(test, states, transitions, end_states)
+    states = [plain.states[p] for p, _ in pairs]
+    facts = [SchedulerFacts(stepped, terminated[p], n) for p, stepped in pairs]
+    return Lts(test, states, transitions, end_states, facts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -88,18 +88,6 @@ def variant_token(variant: ModelVariant) -> str:
     return f"{flavor.value}-{model.value}"
 
 
-def parse_variant(token: str) -> ModelVariant:
-    if token == "unfair":
-        return UNFAIR_VARIANT
-    flavor_token, sep, model_token = token.partition("-")
-    if sep and model_token != ProgressModel.UNFAIR.value:
-        try:
-            return (ProgressModel(model_token), Fairness(flavor_token))
-        except ValueError:
-            pass
-    raise ValueError(f"unknown model variant {token!r}")
-
-
 def all_model_variants(include_hsa_obe: bool = True) -> tuple[ModelVariant, ...]:
     """The verdict-producing models, in report column order."""
     chain = [ProgressModel.HSA, ProgressModel.OBE]

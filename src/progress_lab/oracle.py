@@ -1,5 +1,10 @@
 """Termination verdicts for litmus tests under progress models.
 
+`check_matrix` is the one verdict entry point: it answers every model
+variant of a test from one exploration.  The weak and strong checks read
+a model's fair sets off the monitored LTS, whose `facts` list holds the
+`SchedulerFacts` of each state.
+
 The weak check asks whether a scheduler obeying the model's guarantees
 can still run forever: it fails exactly when some reachable nontrivial
 SCC of the monitored LTS has a stepping-thread set covering the fair
@@ -31,13 +36,7 @@ from enum import Enum
 
 from .axb import AxbInstruction, LitmusTest, MachineState
 from .lts import DEFAULT_MAX_STATES, Lts, Scc, build_monitored_lts, build_plain_lts, scc_decompose
-from .models import (
-    Fairness,
-    ModelVariant,
-    ProgressModel,
-    all_model_variants,
-    variant_token,
-)
+from .models import Fairness, ProgressModel, all_model_variants, variant_token
 
 
 class WitnessKind(str, Enum):
@@ -92,7 +91,7 @@ def _witness_steps(
     steps = []
     for idx in transition_ids:
         tr = lts.transitions[idx]
-        pc = lts.machine(tr.src).pcs[tr.tid]
+        pc = lts.states[tr.src].pcs[tr.tid]
         steps.append(WitnessStep(tr.tid, pc, tr.instr, fair[tr.src]))
     return tuple(steps)
 
@@ -191,7 +190,7 @@ def _strong(lts: Lts, fair: list[frozenset[int]]) -> Verdict:
         WitnessKind.STUCK,
         _witness_steps(lts, path_ids, fair),
         (),
-        lts.machine(stuck),
+        lts.states[stuck],
         fair[stuck],
     )
     return Verdict(False, witness)
@@ -211,37 +210,16 @@ def _unfair(plain: Lts) -> Verdict:
     return _weak(plain, scc_decompose(plain), [frozenset()] * len(plain))
 
 
-def check_variant(
-    test: LitmusTest, variant: ModelVariant, max_states: int = DEFAULT_MAX_STATES
-) -> Verdict:
-    """The verdict of one model variant; the unfair model has no flavor."""
-    model, flavor = variant
-    if (model is ProgressModel.UNFAIR) != (flavor is None):
-        need = "takes no" if flavor is not None else "needs a"
-        raise ValueError(f"model {model.value} {need} fairness flavor")
-    plain = build_plain_lts(test, max_states)
-    if flavor is None:
-        return _unfair(plain)
-    lts = build_monitored_lts(plain, max_states)
-    fair = lts.fair_sets(model)
-    if flavor is Fairness.STRONG:
-        return _strong(lts, fair)
-    return _weak(lts, scc_decompose(lts), fair)
+def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict[str, Verdict]:
+    """The verdict of every model variant, keyed by `variant_token`.
 
-
-def check_matrix(
-    test: LitmusTest,
-    include_hsa_obe: bool = True,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> dict[str, Verdict]:
-    """All verdict-producing models at once.
-
-    The plain LTS gives the unfair verdict and is the input of the
-    monitored LTS.  One monitored LTS and one SCC decomposition of it
-    are shared by the weak and strong checks of every model; only the
-    fair sets differ.
+    Keys follow `all_model_variants()`, the report column order.  The
+    plain LTS gives the unfair verdict and is the input of the monitored
+    LTS.  One monitored LTS and one SCC decomposition of it are shared
+    by the weak and strong checks of every model; only the fair sets,
+    derived from the monitored LTS's `facts`, differ.
     """
-    variants = all_model_variants(include_hsa_obe)
+    variants = all_model_variants()
     plain = build_plain_lts(test, max_states)
     unfair = _unfair(plain)
     lts = build_monitored_lts(plain, max_states)

@@ -33,6 +33,14 @@ def save_suite(
     return index
 
 
+def load_test(path: str | Path) -> LitmusTest:
+    """Read one `.litmus` file; a parse error names the file."""
+    try:
+        return parse_litmus(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
     """Read a suite back, in index order (or sorted filenames without one)."""
     root = Path(suite_dir)
@@ -40,7 +48,15 @@ def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
         raise FileNotFoundError(f"not a suite directory: {root}")
     index = root / "suite.json"
     if index.is_file():
-        entries = json.loads(index.read_text(encoding="utf-8"))["tests"]
+        doc = json.loads(index.read_text(encoding="utf-8"))
+        entries = doc.get("tests") if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries
+        ):
+            raise ValueError(
+                f"{index}: expected an object with a 'tests' list of entries, "
+                "each with a string 'file'"
+            )
         files = []
         for e in entries:
             # Checked lexically: resolving every entry costs more than
@@ -51,10 +67,4 @@ def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
             files.append(root / rel)
     else:
         files = sorted(root.glob("*.litmus"))
-    tests = []
-    for f in files:
-        try:
-            tests.append(parse_litmus(f.read_text(encoding="utf-8")))
-        except ValueError as exc:
-            raise ValueError(f"{f}: {exc}") from exc
-    return tests
+    return [load_test(f) for f in files]

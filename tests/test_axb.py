@@ -93,7 +93,6 @@ def test_validation_rejects(bad):
 def test_counts_and_initial_state():
     t = LitmusTest("t", 2, 2, ((I(0, 0, 1),), (I(1, 0, 0), I(1, 1, 2))))
     assert t.num_threads == 2
-    assert t.total_instructions == 3
     assert t.initial_state() == MachineState((0, 0), (0, 0))
 
 

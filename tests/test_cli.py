@@ -80,6 +80,27 @@ def test_check_missing_file_reports_error(capsys):
     assert err.startswith("error [check]:")
 
 
+def test_check_and_dump_name_the_file_that_fails_to_parse(tmp_path, capsys):
+    bad = tmp_path / "bad.litmus"
+    bad.write_text(Path(MUTEX).read_text().replace("cmp=1", "cmp=5", 1))
+    assert main(["check", MUTEX, str(bad), "--model", "unfair"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "mutex: fail\n"
+    assert err.startswith(f"error [check]: {bad}: line ")
+    assert "compare value 5 out of range" in err
+    assert main(["lts-dump", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error [lts-dump]: {bad}: line ")
+
+
+def test_check_bounds_the_monitored_lts_for_every_model(capsys):
+    # mutex has 8 plain and 12 monitored states; the unfair verdict needs
+    # only the plain LTS, but check builds the monitored one as well.
+    assert main(["check", MUTEX, "--model", "unfair", "--max-states", "12"]) == 0
+    assert capsys.readouterr().out == "fail\n"
+    assert main(["check", MUTEX, "--model", "unfair", "--max-states", "8"]) == 2
+    assert "monitored LTS of 'mutex' exceeds 8 states" in capsys.readouterr().err
+
+
 def test_lts_dump_dot_to_stdout(capsys):
     assert main(["lts-dump", MUTEX]) == 0
     out = capsys.readouterr().out
@@ -219,6 +240,19 @@ def test_classify_rejects_entry_outside_the_suite(tmp_path, capsys):
     rc = main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")])
     assert rc == 2
     assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "index", [{}, {"tests": [{"name": "a"}]}, {"tests": [{"name": "a", "file": 5}]}]
+)
+def test_classify_rejects_a_malformed_index(tmp_path, capsys, index):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "suite.json").write_text(json.dumps(index))
+    rc = main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error [classify]: {suite / 'suite.json'}: ")
     assert not (tmp_path / "rep").exists()
 
 

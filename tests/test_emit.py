@@ -238,6 +238,28 @@ def test_emit_suite_manifest(idioms, tmp_path):
             assert entry["workgroups"] == 4
 
 
+def test_emit_suite_emits_each_glsl_kernel_once(idioms, tmp_path, monkeypatch):
+    from progress_lab import emit
+
+    calls = []
+    original = emit.emit_kernel
+
+    def counting(test, config):
+        calls.append((test.name, config.variant))
+        return original(test, config)
+
+    monkeypatch.setattr(emit, "emit_kernel", counting)
+    configs = [
+        EmitConfig(backend=Backend.GLSL),
+        EmitConfig(backend=Backend.GLSL, variant=Variant.CHUNKED, instances=3),
+    ]
+    manifest = emit_suite([idioms["mutex"], idioms["dining"]], configs, tmp_path)
+    assert len(manifest["entries"]) == 4
+    assert all("companion" in entry for entry in manifest["entries"])
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+
+
 def test_emission_is_deterministic(idioms):
     config = EmitConfig(backend=Backend.METAL, variant=Variant.CHUNKED, instances=7)
     first = emit_kernel(idioms["bidirectional"], config)

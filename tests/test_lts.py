@@ -63,27 +63,27 @@ def test_transition_labels_replay(idioms):
 
 def test_plain_has_no_fairness_info(idioms):
     lts = build_plain_lts(idioms["mutex"])
-    assert not lts.is_monitored
+    assert lts.facts is None
     with pytest.raises(ValueError):
         lts.fair_sets(ProgressModel.OBE)
 
 
 def test_monitored_tracks_stepped_and_fair(idioms):
     lts = build_monitored_lts(build_plain_lts(idioms["mutex"]))
-    assert lts.is_monitored
-    assert lts.facts(lts.initial).stepped == frozenset()
+    assert lts.facts is not None
+    assert lts.facts[lts.initial].stepped == frozenset()
     fair = lts.fair_sets(ProgressModel.OBE)
     for tr in lts.transitions:
-        facts = lts.facts(tr.src)
+        facts = lts.facts[tr.src]
         assert fair[tr.src] == fair_set(ProgressModel.OBE, facts)
-        assert lts.facts(tr.dst).stepped == facts.stepped | {tr.tid}
+        assert lts.facts[tr.dst].stepped == facts.stepped | {tr.tid}
 
 
 def test_monitored_merges_on_machine_and_stepped(idioms):
     # prodcons-increasing: after both threads stepped once each in either
     # order, machine and stepped coincide, so the states merge
     lts = build_monitored_lts(build_plain_lts(idioms["prodcons-increasing"]))
-    keys = {(lts.machine(i), lts.facts(i).stepped) for i in range(len(lts.states))}
+    keys = {(lts.states[i], lts.facts[i].stepped) for i in range(len(lts.states))}
     assert len(keys) == len(lts.states)
 
 
@@ -181,7 +181,7 @@ def assert_monitored_matches_naive(test):
     independent exploration in `naive.explore_monitored`."""
     lts = build_monitored_lts(build_plain_lts(test))
     keys = [
-        (lts.machine(i).memory, lts.machine(i).pcs, lts.facts(i).stepped)
+        (lts.states[i].memory, lts.states[i].pcs, lts.facts[i].stepped)
         for i in range(len(lts))
     ]
     nodes, adj, _ = naive.explore_monitored(test, "fair")
@@ -192,7 +192,7 @@ def assert_monitored_matches_naive(test):
     lengths = [len(p) for p in test.threads]
     for i, (_, pcs, _) in enumerate(keys):
         done = frozenset(t for t, n in enumerate(lengths) if pcs[t] >= n)
-        assert lts.facts(i).terminated == done
+        assert lts.facts[i].terminated == done
     assert {keys[i] for i in lts.end_states} == {k for k in nodes if not adj[k]}
 
 

@@ -13,16 +13,9 @@ from progress_lab.models import (
     Fairness,
     ProgressModel,
     all_model_variants,
-    parse_variant,
     variant_token,
 )
-from progress_lab.oracle import (
-    Verdict,
-    WitnessKind,
-    check_matrix,
-    check_variant,
-    format_witness,
-)
+from progress_lab.oracle import Verdict, WitnessKind, check_matrix, format_witness
 from strategies import litmus_tests
 
 I = AxbInstruction
@@ -49,10 +42,6 @@ def test_idiom_matrices_exact(idioms):
 def test_matrix_column_order(idioms):
     matrix = check_matrix(idioms["mutex"])
     assert list(matrix) == [variant_token(v) for v in all_model_variants()]
-    reduced = check_matrix(idioms["mutex"], include_hsa_obe=False)
-    assert list(reduced) == [
-        variant_token(v) for v in all_model_variants(include_hsa_obe=False)
-    ]
 
 
 def test_acyclic_test_passes_everything():
@@ -60,20 +49,11 @@ def test_acyclic_test_passes_everything():
     assert all(v.passed for v in matrix.values())
 
 
-def test_unfair_model_is_rejected_by_flavored_checks(idioms):
-    for flavor in (WEAK, STRONG):
-        with pytest.raises(ValueError):
-            check_variant(idioms["mutex"], (ProgressModel.UNFAIR, flavor))
-    # and a fair model needs a flavor
-    with pytest.raises(ValueError):
-        check_variant(idioms["mutex"], (ProgressModel.HSA, None))
-
-
-def test_check_variant_dispatch(idioms):
-    t = idioms["prodcons-increasing"]
-    assert check_variant(t, parse_variant("unfair")).token == "fail"
-    assert check_variant(t, parse_variant("weak-obe")).token == "fail"
-    assert check_variant(t, parse_variant("strong-hsa")).token == "pass"
+def test_matrix_column_read(idioms):
+    matrix = check_matrix(idioms["prodcons-increasing"])
+    assert matrix[variant_token(UNFAIR_VARIANT)].token == "fail"
+    assert matrix[variant_token((ProgressModel.OBE, WEAK))].token == "fail"
+    assert matrix[variant_token((ProgressModel.HSA, STRONG))].token == "pass"
 
 
 def test_fail_verdict_requires_witness():
@@ -97,7 +77,7 @@ def test_every_idiom_failure_replays(idioms):
 
 
 def test_cycle_witness_covers_fair_set(idioms):
-    w = check_variant(idioms["mutex"], (ProgressModel.HSA, WEAK)).witness
+    w = check_matrix(idioms["mutex"])[variant_token((ProgressModel.HSA, WEAK))].witness
     assert w.kind is WitnessKind.CYCLE
     stepping = {s.tid for s in w.cycle}
     assert stepping >= w.cycle[0].fair_before
@@ -106,7 +86,7 @@ def test_cycle_witness_covers_fair_set(idioms):
 
 
 def test_stuck_witness_shape(idioms):
-    v = check_variant(idioms["prodcons-decreasing"], (ProgressModel.HSA, STRONG))
+    v = check_matrix(idioms["prodcons-decreasing"])[variant_token((ProgressModel.HSA, STRONG))]
     assert not v.passed
     w = v.witness
     assert w.kind is WitnessKind.STUCK
@@ -116,20 +96,19 @@ def test_stuck_witness_shape(idioms):
 
 
 def test_format_witness_rendering(idioms):
-    cyc = check_variant(idioms["dining"], (ProgressModel.FAIR, WEAK)).witness
+    cyc = check_matrix(idioms["dining"])[variant_token((ProgressModel.FAIR, WEAK))].witness
     text = format_witness(cyc)
     assert text.startswith("# path")
     assert "# cycle" in text
     assert "T0 pc=0 F={0,1}" in text or "T1 pc=0 F={0,1}" in text
 
-    stuck = check_variant(idioms["prodcons-decreasing"], (ProgressModel.OBE, STRONG)).witness
+    matrix = check_matrix(idioms["prodcons-decreasing"])
+    stuck = matrix[variant_token((ProgressModel.OBE, STRONG))].witness
     text = format_witness(stuck)
     assert "# stuck state:" in text and "mem=" in text
 
 
 def test_max_states_limit_propagates(idioms):
-    with pytest.raises(ExplorationLimitError):
-        check_variant(idioms["mutex"], (ProgressModel.FAIR, WEAK), max_states=2)
     with pytest.raises(ExplorationLimitError):
         check_matrix(idioms["mutex"], max_states=2)
 
@@ -144,17 +123,19 @@ def test_matrix_is_deterministic(idioms):
 @settings(max_examples=60, deadline=None)
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_weak_pass_implies_strong_pass(t):
+    matrix = check_matrix(t)
     for model in MONITORED_MODELS:
-        if check_variant(t, (model, WEAK)).passed:
-            assert check_variant(t, (model, STRONG)).passed, model.value
+        if matrix[variant_token((model, WEAK))].passed:
+            assert matrix[variant_token((model, STRONG))].passed, model.value
 
 
 @settings(max_examples=60, deadline=None)
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_monotone_along_model_chain(t):
-    weak = {m: check_variant(t, (m, WEAK)).passed for m in MONITORED_MODELS}
-    strong = {m: check_variant(t, (m, STRONG)).passed for m in MONITORED_MODELS}
-    unfair = check_variant(t, UNFAIR_VARIANT).passed
+    matrix = check_matrix(t)
+    weak = {m: matrix[variant_token((m, WEAK))].passed for m in MONITORED_MODELS}
+    strong = {m: matrix[variant_token((m, STRONG))].passed for m in MONITORED_MODELS}
+    unfair = matrix[variant_token(UNFAIR_VARIANT)].passed
     # containment along unfair < hsa/obe < hsa+obe < lobe < fair, per flavor
     for table in (weak, strong):
         if unfair:
@@ -172,12 +153,13 @@ def test_monotone_along_model_chain(t):
 @settings(max_examples=40, deadline=None)
 @given(litmus_tests(max_threads=2, max_instructions=2))
 def test_agreement_with_naive_oracles(t):
-    assert check_variant(t, UNFAIR_VARIANT).passed == (not naive.naive_unfair_fails(t))
+    matrix = check_matrix(t)
+    assert matrix[variant_token(UNFAIR_VARIANT)].passed == (not naive.naive_unfair_fails(t))
     for model in MONITORED_MODELS:
-        assert check_variant(t, (model, WEAK)).passed == (
+        assert matrix[variant_token((model, WEAK))].passed == (
             not naive.naive_weak_fails(t, model.value)
         ), ("weak", model.value)
-        assert check_variant(t, (model, STRONG)).passed == (
+        assert matrix[variant_token((model, STRONG))].passed == (
             not naive.naive_strong_fails(t, model.value)
         ), ("strong", model.value)
 
@@ -185,7 +167,8 @@ def test_agreement_with_naive_oracles(t):
 @settings(max_examples=40, deadline=None)
 @given(litmus_tests(max_threads=3, max_instructions=2), st.sampled_from(MONITORED_MODELS))
 def test_random_failures_replay(t, model):
-    for verdict in (check_variant(t, (model, WEAK)), check_variant(t, (model, STRONG))):
+    matrix = check_matrix(t)
+    for verdict in (matrix[variant_token((model, f))] for f in (WEAK, STRONG)):
         if not verdict.passed:
             naive.replay_witness(t, verdict.witness)
 
@@ -229,7 +212,3 @@ def test_one_monitored_exploration_per_check(idioms, monkeypatch):
     for test in tests:
         check_matrix(test)
     assert calls == {"build_monitored_lts": len(tests), "scc_decompose": 2 * len(tests)}
-    calls["build_monitored_lts"] = 0
-    for token in ("weak-hsa", "strong-lobe"):
-        check_variant(tests[0], parse_variant(token))
-    assert calls["build_monitored_lts"] == 2

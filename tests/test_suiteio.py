@@ -50,3 +50,12 @@ def test_load_names_the_file_that_fails_to_parse(idioms, tmp_path):
     bad.write_text(bad.read_text().replace("cmp=1", "cmp=5", 1))
     with pytest.raises(ValueError, match=r"dining\.litmus: line \d+, column \d+: compare value 5"):
         load_suite(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "index", [{}, {"tests": [{"name": "a"}]}, {"tests": [{"name": "a", "file": 5}]}]
+)
+def test_load_rejects_a_malformed_index(tmp_path, index):
+    (tmp_path / "suite.json").write_text(json.dumps(index))
+    with pytest.raises(ValueError, match=r"suite\.json: expected an object with a 'tests' list"):
+        load_suite(tmp_path)

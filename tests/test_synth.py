@@ -9,8 +9,8 @@ from conftest import IDIOM_LTS_SIZES, SUITE_CANDIDATES, SUITE_UNIQUE
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.litmus_io import serialize_body
 from progress_lab.lts import build_plain_lts
-from progress_lab.oracle import check_variant
-from progress_lab.models import UNFAIR_VARIANT, Fairness, ProgressModel
+from progress_lab.models import UNFAIR_VARIANT, Fairness, ProgressModel, variant_token
+from progress_lab.oracle import check_matrix
 from progress_lab.synth import (
     SynthConfig,
     _check_candidate,
@@ -87,8 +87,9 @@ def test_outputs_are_progress_tests(suites):
     # the defining property: would terminate under strong fairness, might
     # not without any guarantee
     for t in suites(2, 3).tests:
-        assert check_variant(t, (ProgressModel.FAIR, Fairness.STRONG)).passed
-        assert not check_variant(t, UNFAIR_VARIANT).passed
+        matrix = check_matrix(t)
+        assert matrix[variant_token((ProgressModel.FAIR, Fairness.STRONG))].passed
+        assert not matrix[variant_token(UNFAIR_VARIANT)].passed
 
 
 def test_syntactic_fallthrough_restriction(suites):
