@@ -26,10 +26,20 @@ from progress_lab.lts import build_plain_lts
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_glsl_mutex_matches_golden(idioms):
-    artifact = emit_kernel(idioms["mutex"], EmitConfig(backend=Backend.GLSL))
-    assert artifact.source == GOLDEN.joinpath("mutex.comp").read_text()
-    assert artifact.entry_point == "main"
+# Backend -> (golden file, entry point) for the plain mutex kernel.
+GOLDEN_KERNELS = {
+    Backend.GLSL: ("mutex.comp", "main"),
+    Backend.CUDA: ("mutex.cu", "progress_test"),
+    Backend.METAL: ("mutex.metal", "progress_test"),
+}
+
+
+@pytest.mark.parametrize("backend", list(GOLDEN_KERNELS))
+def test_glsl_mutex_matches_golden(idioms, backend):
+    golden, entry_point = GOLDEN_KERNELS[backend]
+    artifact = emit_kernel(idioms["mutex"], EmitConfig(backend=backend))
+    assert artifact.source == GOLDEN.joinpath(golden).read_text()
+    assert artifact.entry_point == entry_point
     assert artifact.workgroups == 2
     assert artifact.instances == 1
 
