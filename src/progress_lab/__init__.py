@@ -8,7 +8,15 @@ tests under software schedulers.
 
 from .axb import AxbInstruction, LitmusTest, MachineState, step
 from .classify import SuiteReport, classify_suite, write_report
-from .emit import Backend, EmitConfig, KernelArtifact, Variant, emit_kernel, emit_suite
+from .emit import (
+    Backend,
+    EmitConfig,
+    KernelArtifact,
+    Variant,
+    emit_kernel,
+    emit_suite,
+    load_harness,
+)
 from .litmus_io import LitmusParseError, parse_litmus, serialize_litmus
 from .lts import (
     ExplorationLimitError,
@@ -69,6 +77,7 @@ __all__ = [
     "emit_kernel",
     "emit_suite",
     "fair_set",
+    "load_harness",
     "load_suite",
     "parse_litmus",
     "save_suite",

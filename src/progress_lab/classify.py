@@ -36,7 +36,6 @@ from .oracle import check_matrix
 
 WEAK_FAIR = variant_token((ProgressModel.FAIR, Fairness.WEAK))
 STRONG_FAIR = variant_token((ProgressModel.FAIR, Fairness.STRONG))
-UNFAIR = variant_token((ProgressModel.UNFAIR, None))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,35 +170,6 @@ def partitions_json_dict(report: SuiteReport) -> dict:
     }
 
 
-def _grid_rows(
-    counts: dict[str, int], hierarchy_tokens
-) -> list[tuple[str, str, str, str, str]]:
-    """Rows for the distinguishing/conformance grid, 'full' last."""
-
-    def cell(kind: str, flavor: str, model: str) -> str:
-        return str(counts.get(f"{kind}:{flavor}-{model}", "-"))
-
-    models = []
-    for tok in hierarchy_tokens:
-        if tok.startswith("weak-"):
-            model = tok[len("weak-") :]
-            if model != "fair" and model not in models:
-                models.append(model)
-    rows = []
-    for model in models + ["fair"]:
-        label = "full" if model == "fair" else model
-        rows.append(
-            (
-                label,
-                cell("D", "weak", model),
-                cell("C", "weak", model),
-                cell("D", "strong", model),
-                cell("C", "strong", model),
-            )
-        )
-    return rows
-
-
 def summary_text(report: SuiteReport) -> str:
     lines = [summary_from_partitions(partitions_json_dict(report)).rstrip("\n")]
     if report.unclassified:
@@ -231,15 +201,16 @@ def summary_from_partitions(data: dict) -> str:
         f"weak fraction: {data.get('weak_fraction', 0.0):.3f}",
         "",
     ]
-    counts: dict[str, int] = {}
-    for tok, tests in data.get("conformance", {}).items():
-        counts[f"C:{tok}"] = len(tests)
-    for tok, tests in data.get("distinguishing", {}).items():
-        counts[f"D:{tok}"] = len(tests)
-    hierarchy = data.get("hierarchy", [])
-    header = f"{'model':<10}{'weak D':>8}{'weak C':>8}{'strong D':>10}{'strong C':>10}"
-    lines.append(header)
-    for label, wd, wc, sd, sc in _grid_rows(counts, hierarchy):
+    weak_models = [t[len("weak-") :] for t in data.get("hierarchy", []) if t.startswith("weak-")]
+    lines.append(f"{'model':<10}{'weak D':>8}{'weak C':>8}{'strong D':>10}{'strong C':>10}")
+    # One row per model in hierarchy order, full fairness last; "-" marks a missing set.
+    for model in [m for m in dict.fromkeys(weak_models) if m != "fair"] + ["fair"]:
+        wd, wc, sd, sc = (
+            str(len(sets[tok])) if tok in sets else "-"
+            for tok in (f"weak-{model}", f"strong-{model}")
+            for sets in (data.get("distinguishing", {}), data.get("conformance", {}))
+        )
+        label = "full" if model == "fair" else model
         lines.append(f"{label:<10}{wd:>8}{wc:>8}{sd:>10}{sc:>10}")
     return "\n".join(lines) + "\n"
 

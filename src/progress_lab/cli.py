@@ -28,8 +28,6 @@ from .schedsim import DEFAULT_STEP_BUDGET, SchedulerKind, SchedulerSpec, campaig
 from .suiteio import load_suite, load_test, save_suite
 from .synth import SynthConfig, synthesize
 
-log = logging.getLogger("progress_lab")
-
 MODEL_TOKENS = ("unfair", "hsa", "obe", "hsa+obe", "lobe", "fair")
 
 

@@ -3,9 +3,11 @@
 Each test thread becomes straight-line switch dispatch inside a while
 loop over an integer program counter; exchanges map to the backend's
 atomic exchange and plain reads to an atomic add of zero so every
-access hits the same coherence point.  Multi-instance layouts replicate
-the test across disjoint memory regions and remap workgroup ids so the
-relative thread order inside every instance is preserved.
+access hits the same coherence point.  The three C-like backends share
+one template and differ only in their `BACKENDS` dialect.  Multi-instance
+layouts replicate the test across disjoint memory regions and remap
+workgroup ids so the relative thread order inside every instance is
+preserved.
 """
 
 from __future__ import annotations
@@ -33,19 +35,77 @@ class Variant(str, Enum):
     CHUNKED = "chunked"
 
 
-FILE_EXTENSIONS = {
-    Backend.GLSL: "comp",
-    Backend.CUDA: "cu",
-    Backend.METAL: "metal",
-    Backend.HARNESS: "json",
-}
+@dataclass(frozen=True, slots=True)
+class _Dialect:
+    """How one C-like language spells the kernel around the shared pc loops."""
 
-# Recommended per-backend timeouts for external runners, in seconds.
-TIMEOUT_SECONDS: dict[Backend, int | None] = {
-    Backend.CUDA: 20,
-    Backend.GLSL: 5,
-    Backend.METAL: None,
-    Backend.HARNESS: None,
+    header: tuple[str, ...]  # templates over workgroup_size; ends with `w` bound
+    uint: str
+    exchange: str  # template over loc and val
+    load: str  # template over loc
+
+
+@dataclass(frozen=True, slots=True)
+class BackendSpec:
+    extension: str
+    entry_point: str
+    timeout_seconds: int | None  # recommended for external runners
+    dialect: _Dialect | None  # None: the JSON harness
+
+
+BACKENDS: dict[Backend, BackendSpec] = {
+    Backend.GLSL: BackendSpec(
+        "comp",
+        "main",
+        5,
+        _Dialect(
+            (
+                "#version 450",
+                "layout(local_size_x = {workgroup_size}) in;",
+                "layout(set = 0, binding = 0) buffer Mem {{",
+                "  uint mem[];",
+                "}};",
+                "",
+                "void main() {{",
+                "  uint w = gl_WorkGroupID.x;",
+            ),
+            "uint",
+            "atomicExchange(mem[base + {loc}u], {val}u)",
+            "atomicAdd(mem[base + {loc}u], 0u)",
+        ),
+    ),
+    Backend.CUDA: BackendSpec(
+        "cu",
+        "progress_test",
+        20,
+        _Dialect(
+            (
+                'extern "C" __global__ void progress_test(unsigned int* mem) {{',
+                "  unsigned int w = blockIdx.x;",
+            ),
+            "unsigned int",
+            "atomicExch(&mem[base + {loc}u], {val}u)",
+            "atomicAdd(&mem[base + {loc}u], 0u)",
+        ),
+    ),
+    Backend.METAL: BackendSpec(
+        "metal",
+        "progress_test",
+        None,
+        _Dialect(
+            (
+                "#include <metal_stdlib>",
+                "using namespace metal;",
+                "",
+                "kernel void progress_test(device atomic_uint* mem [[buffer(0)]],",
+                "                          uint w [[threadgroup_position_in_grid]]) {{",
+            ),
+            "uint",
+            "atomic_exchange_explicit(&mem[base + {loc}u], {val}u, memory_order_relaxed)",
+            "atomic_fetch_add_explicit(&mem[base + {loc}u], 0u, memory_order_relaxed)",
+        ),
+    ),
+    Backend.HARNESS: BackendSpec("json", "run", None, None),
 }
 
 
@@ -146,114 +206,43 @@ def _mapping_lines(variant: Variant, n: int, m: int, uint: str) -> list[str]:
     return [f"{uint} m = w % {m}u;", f"{uint} i = w / {m}u;"]
 
 
-def _thread_body(program, exch_op, load_op, pad: str) -> list[str]:
-    """The pc loop of one thread; `pad` is the leading indentation."""
+def _thread_body(program, dialect: _Dialect) -> list[str]:
+    """The pc loop of one thread, indented to sit inside its `if (i == ...)`."""
     end = len(program)
-    lines = [f"{pad}int pc = 0;", f"{pad}while (pc != {end}) {{", f"{pad}  switch (pc) {{"]
+    lines = ["    int pc = 0;", f"    while (pc != {end}) {{", "      switch (pc) {"]
     for idx, ins in enumerate(program):
-        op = load_op(ins.loc) if ins.exch is None else exch_op(ins.loc, ins.exch)
-        lines.append(f"{pad}    case {idx}:")
+        if ins.exch is None:
+            op = dialect.load.format(loc=ins.loc)
+        else:
+            op = dialect.exchange.format(loc=ins.loc, val=ins.exch)
+        lines.append(f"        case {idx}:")
         if ins.jump == idx + 1:
             # Both branch outcomes fall through; no conditional needed.
-            lines.append(f"{pad}      {op};")
-            lines.append(f"{pad}      pc += 1;")
+            lines.append(f"          {op};")
+            lines.append("          pc += 1;")
         else:
-            lines.append(f"{pad}      if ({op} == {ins.cmp}u) {{")
-            lines.append(f"{pad}        pc = {ins.jump};")
-            lines.append(f"{pad}      }} else {{")
-            lines.append(f"{pad}        pc += 1;")
-            lines.append(f"{pad}      }}")
-        lines.append(f"{pad}      break;")
-    lines.append(f"{pad}  }}")
-    lines.append(f"{pad}}}")
-    return lines
+            lines.append(f"          if ({op} == {ins.cmp}u) {{")
+            lines.append(f"            pc = {ins.jump};")
+            lines.append("          } else {")
+            lines.append("            pc += 1;")
+            lines.append("          }")
+        lines.append("          break;")
+    return lines + ["      }", "    }"]
 
 
-def _emit_c_like(
-    test: LitmusTest,
-    config: EmitConfig,
-    instances: int,
-    header: list[str],
-    footer: list[str],
-    uint: str,
-    exch_op,
-    load_op,
+def _c_like_source(
+    test: LitmusTest, config: EmitConfig, instances: int, dialect: _Dialect
 ) -> str:
-    lines = list(header)
+    uint = dialect.uint
+    lines = [line.format(workgroup_size=config.workgroup_size) for line in dialect.header]
     lines += ["  " + s for s in _mapping_lines(config.variant, test.num_threads, instances, uint)]
     lines.append(f"  {uint} base = m * {test.num_locations}u;")
     for tid, program in enumerate(test.threads):
         lines.append(f"  if (i == {tid}u) {{")
-        lines += _thread_body(program, exch_op, load_op, "    ")
+        lines += _thread_body(program, dialect)
         lines.append("  }")
-    lines += footer
+    lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _glsl_source(test: LitmusTest, config: EmitConfig, instances: int) -> str:
-    header = [
-        "#version 450",
-        f"layout(local_size_x = {config.workgroup_size}) in;",
-        "layout(set = 0, binding = 0) buffer Mem {",
-        "  uint mem[];",
-        "};",
-        "",
-        "void main() {",
-        "  uint w = gl_WorkGroupID.x;",
-    ]
-    return _emit_c_like(
-        test,
-        config,
-        instances,
-        header,
-        ["}"],
-        "uint",
-        lambda loc, val: f"atomicExchange(mem[base + {loc}u], {val}u)",
-        lambda loc: f"atomicAdd(mem[base + {loc}u], 0u)",
-    )
-
-
-def _cuda_source(test: LitmusTest, config: EmitConfig, instances: int) -> str:
-    header = [
-        'extern "C" __global__ void progress_test(unsigned int* mem) {',
-        "  unsigned int w = blockIdx.x;",
-    ]
-    return _emit_c_like(
-        test,
-        config,
-        instances,
-        header,
-        ["}"],
-        "unsigned int",
-        lambda loc, val: f"atomicExch(&mem[base + {loc}u], {val}u)",
-        lambda loc: f"atomicAdd(&mem[base + {loc}u], 0u)",
-    )
-
-
-def _metal_source(test: LitmusTest, config: EmitConfig, instances: int) -> str:
-    header = [
-        "#include <metal_stdlib>",
-        "using namespace metal;",
-        "",
-        "kernel void progress_test(device atomic_uint* mem [[buffer(0)]],",
-        "                          uint w [[threadgroup_position_in_grid]]) {",
-    ]
-    return _emit_c_like(
-        test,
-        config,
-        instances,
-        header,
-        ["}"],
-        "uint",
-        lambda loc, val: (
-            f"atomic_exchange_explicit(&mem[base + {loc}u], {val}u, "
-            "memory_order_relaxed)"
-        ),
-        lambda loc: (
-            f"atomic_fetch_add_explicit(&mem[base + {loc}u], 0u, "
-            "memory_order_relaxed)"
-        ),
-    )
 
 
 def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str:
@@ -306,27 +295,16 @@ def load_harness(source: str) -> LitmusTest:
     )
 
 
-_SOURCES = {
-    Backend.GLSL: _glsl_source,
-    Backend.CUDA: _cuda_source,
-    Backend.METAL: _metal_source,
-    Backend.HARNESS: _harness_source,
-}
-
-_ENTRY_POINTS = {
-    Backend.GLSL: "main",
-    Backend.CUDA: "progress_test",
-    Backend.METAL: "progress_test",
-    Backend.HARNESS: "run",
-}
-
-
 def emit_kernel(test: LitmusTest, config: EmitConfig) -> KernelArtifact:
     instances = resolve_instances(config.variant, test.num_threads, config.instances)
-    source = _SOURCES[config.backend](test, config, instances)
+    spec = BACKENDS[config.backend]
+    if spec.dialect is None:
+        source = _harness_source(test, config, instances)
+    else:
+        source = _c_like_source(test, config, instances, spec.dialect)
     return KernelArtifact(
         source=source,
-        entry_point=_ENTRY_POINTS[config.backend],
+        entry_point=spec.entry_point,
         backend=config.backend,
         variant=config.variant,
         num_threads=test.num_threads,
@@ -335,13 +313,6 @@ def emit_kernel(test: LitmusTest, config: EmitConfig) -> KernelArtifact:
         workgroup_size=config.workgroup_size,
         cells_per_instance=test.num_locations,
     )
-
-
-def emit_amber(test: LitmusTest, config: EmitConfig) -> str:
-    """Amber script embedding the GLSL shader, for external execution."""
-    if config.backend is not Backend.GLSL:
-        raise ValueError("Amber wraps the glsl backend only")
-    return _amber_script(emit_kernel(test, config))
 
 
 def _amber_script(artifact: KernelArtifact) -> str:
@@ -374,8 +345,8 @@ def emit_suite(tests, configs, out_dir: str | Path) -> dict:
         for config in configs:
             try:
                 artifact = emit_kernel(test, config)
-                ext = FILE_EXTENSIONS[config.backend]
-                fname = f"{test.name}.{config.variant.value}.{ext}"
+                spec = BACKENDS[config.backend]
+                fname = f"{test.name}.{config.variant.value}.{spec.extension}"
                 (out / fname).write_text(artifact.source, encoding="utf-8")
                 entry = {
                     "test": test.name,
@@ -388,7 +359,7 @@ def emit_suite(tests, configs, out_dir: str | Path) -> dict:
                     "workgroup_size": artifact.workgroup_size,
                     "buffer_cells": artifact.buffer_cells,
                     "cells_per_instance": artifact.cells_per_instance,
-                    "timeout_seconds": TIMEOUT_SECONDS[config.backend],
+                    "timeout_seconds": spec.timeout_seconds,
                 }
                 if config.backend is Backend.GLSL:
                     amber_name = f"{test.name}.{config.variant.value}.amber"

@@ -29,11 +29,6 @@ class SchedulerKind(str, Enum):
     HSA_PRIORITY = "hsa-priority"
 
 
-NONPREEMPTIVE_KINDS = frozenset(
-    {SchedulerKind.OBE_NONPREEMPTIVE, SchedulerKind.LOBE_NONPREEMPTIVE}
-)
-
-
 @dataclass(frozen=True, slots=True)
 class SchedulerSpec:
     kind: SchedulerKind

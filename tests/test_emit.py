@@ -7,13 +7,11 @@ import pytest
 
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.emit import (
-    FILE_EXTENSIONS,
+    BACKENDS,
     MAX_TOTAL_WORKGROUPS,
-    TIMEOUT_SECONDS,
     Backend,
     EmitConfig,
     Variant,
-    emit_amber,
     emit_kernel,
     emit_suite,
     expand_layout,
@@ -200,11 +198,11 @@ def test_load_harness_rejects_other_json():
 
 
 def test_timeouts_and_extensions():
-    assert TIMEOUT_SECONDS[Backend.CUDA] == 20
-    assert TIMEOUT_SECONDS[Backend.GLSL] == 5
-    assert TIMEOUT_SECONDS[Backend.METAL] is None
-    assert TIMEOUT_SECONDS[Backend.HARNESS] is None
-    assert FILE_EXTENSIONS == {
+    assert BACKENDS[Backend.CUDA].timeout_seconds == 20
+    assert BACKENDS[Backend.GLSL].timeout_seconds == 5
+    assert BACKENDS[Backend.METAL].timeout_seconds is None
+    assert BACKENDS[Backend.HARNESS].timeout_seconds is None
+    assert {backend: spec.extension for backend, spec in BACKENDS.items()} == {
         Backend.GLSL: "comp",
         Backend.CUDA: "cu",
         Backend.METAL: "metal",
@@ -212,15 +210,17 @@ def test_timeouts_and_extensions():
     }
 
 
-def test_amber_wrapper(idioms):
-    script = emit_amber(idioms["mutex"], EmitConfig(backend=Backend.GLSL))
+def test_amber_wrapper(idioms, tmp_path):
+    configs = [EmitConfig(backend=Backend.GLSL), EmitConfig(backend=Backend.CUDA)]
+    glsl, cuda = emit_suite([idioms["mutex"]], configs, tmp_path)["entries"]
+    script = (tmp_path / glsl["companion"]).read_text()
     assert script.startswith("#!amber\n")
     assert "SHADER compute test_shader GLSL" in script
     assert "#version 450" in script
     assert "BUFFER mem DATA_TYPE uint32 SIZE 2 FILL 0" in script
     assert "RUN pipeline 2 1 1" in script
-    with pytest.raises(ValueError):
-        emit_amber(idioms["mutex"], EmitConfig(backend=Backend.CUDA))
+    # Amber runs GLSL only: other backends get no companion script.
+    assert "companion" not in cuda
 
 
 def test_emit_suite_manifest(idioms, tmp_path):
@@ -239,7 +239,7 @@ def test_emit_suite_manifest(idioms, tmp_path):
         assert "ValueError" in err["error"]
     for entry in manifest["entries"]:
         assert (tmp_path / entry["file"]).exists()
-        assert entry["timeout_seconds"] == TIMEOUT_SECONDS[Backend(entry["backend"])]
+        assert entry["timeout_seconds"] == BACKENDS[Backend(entry["backend"])].timeout_seconds
         if entry["backend"] == "glsl":
             assert entry["file"].endswith(".comp")
             assert (tmp_path / entry["companion"]).read_text().startswith("#!amber")
