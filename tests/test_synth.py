@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import naive
-from conftest import IDIOM_LTS_SIZES, SUITE_CANDIDATES, SUITE_UNIQUE
+from conftest import IDIOM_LTS_SIZES, SUITE_CANDIDATES, SUITE_CAPS, SUITE_UNIQUE
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.litmus_io import serialize_body
 from progress_lab.lts import build_plain_lts
@@ -216,3 +216,29 @@ def test_checker_agrees_with_naive_on_whole_spaces():
                 if ends and naive.naive_unfair_fails(t):
                     assert naive.naive_influence(t), t.threads
     assert checked == SUITE_CANDIDATES[(2, 2)] + SUITE_CANDIDATES[(3, 3)]
+
+
+def test_thread_permutations_share_verdicts():
+    # Permuting a candidate's threads permutes the pc lanes of its plain
+    # LTS, so every candidate of the whole (2,3) and (3,3) spaces, built
+    # as _span_worker builds it, must get the verdict and LTS size of its
+    # permutation into the sorted composition.
+    checked = 0
+    for bounds in ((2, 3), (3, 3)):
+        comps = compositions(bounds[1], bounds[0])
+        tables = {comp: _tables(comp, 2, 2) for comp in comps}
+
+        def verdict(comp, idx):
+            vl, lanes, positions = tables[comp]
+            cand = tuple(positions[k][i] for k, i in enumerate(idx))
+            return _check_candidate(cand, vl, lanes, *SUITE_CAPS[bounds])
+
+        sorted_verdicts = {}
+        for comp in comps:
+            for idx in itertools.product(*(range(len(p)) for p in tables[comp][2])):
+                checked += 1
+                key = tuple(sorted(zip(comp, idx)))
+                if key not in sorted_verdicts:
+                    sorted_verdicts[key] = verdict(*zip(*key))
+                assert verdict(comp, idx) == sorted_verdicts[key], (comp, idx)
+    assert checked == SUITE_CANDIDATES[(2, 3)] + SUITE_CANDIDATES[(3, 3)]
