@@ -20,6 +20,20 @@ program counter per thread) and steps them by table lookup; the tables
 are derived from the AXB rule (`axb.execute`) once per composition, so
 the full default spaces (a few million candidates) enumerate in minutes
 on one core.
+
+Only one candidate per thread-permutation orbit is checked (thread
+symmetry reduction, as in Emerson & Sistla and Ip & Dill, FMSD 1996).
+A thread's program options depend only on its length and the
+instruction index, so every permutation of a candidate is a candidate.
+Permuting threads permutes the pc lanes of the plain LTS and nothing
+else, so the LTS stays isomorphic: the state and action counts, end
+reachability, the cycle and the branch outcomes covered are all the
+same, and so are both syntactic prefilters.  The representative has a
+nondecreasing composition and nondecreasing program indices within each
+run of equal thread lengths; its verdict counts once per permutation,
+and an accepted one is expanded into every distinct permutation before
+dedup.  The suite stays thread-distinct, since thread ids decide the
+OBE, LOBE and HSA verdicts; only the checking work shrinks.
 """
 
 from __future__ import annotations
@@ -73,6 +87,7 @@ class SynthConfig:
 @dataclass(frozen=True, slots=True)
 class SynthStats:
     candidates: int
+    explored: int  # candidates run through `_check_candidate`
     rejected: dict[str, int]
     duplicates: int
     unique: int
@@ -81,6 +96,7 @@ class SynthStats:
     def to_json_dict(self) -> dict:
         return {
             "candidates": self.candidates,
+            "explored": self.explored,
             "rejected": {k: self.rejected.get(k, 0) for k in REJECT_REASONS},
             "duplicates": self.duplicates,
             "unique": self.unique,
@@ -315,11 +331,48 @@ def canonicalize(test: LitmusTest, symmetry_reduction: bool = False) -> str:
     return best
 
 
+def _representatives(comp, counts, lo, hi):
+    """Program-index tuples of a nondecreasing composition, one per
+    thread-permutation orbit: the first index lies in [lo, hi), and
+    within each run of equal thread lengths the indices never decrease.
+    `counts` gives the number of programs per thread."""
+    runs = [len(list(g)) for _, g in itertools.groupby(comp)]
+    starts = list(itertools.accumulate(runs[:-1], initial=0))
+    later = [
+        list(itertools.combinations_with_replacement(range(counts[k]), r))
+        for k, r in zip(starts[1:], runs[1:])
+    ]
+    for first in range(lo, hi):
+        heads = itertools.combinations_with_replacement(range(first, counts[0]), runs[0] - 1)
+        for parts in itertools.product(heads, *later):
+            yield (first, *itertools.chain.from_iterable(parts))
+
+
+def _orbit_size(comp, idx) -> int:
+    """Number of distinct thread permutations of a representative: n!
+    over the factorial of each run of equal (length, program index),
+    which sit next to each other in a representative."""
+    size = math.factorial(len(comp))
+    run = 1
+    for k in range(1, len(comp)):
+        run = run + 1 if comp[k] == comp[k - 1] and idx[k] == idx[k - 1] else 1
+        size //= run
+    return size
+
+
+def _thread_orders(comp, idx):
+    """One thread order per distinct permutation of a representative."""
+    keys = tuple(zip(comp, idx))
+    orders = {tuple(keys[k] for k in p): p for p in itertools.permutations(range(len(keys)))}
+    return orders.values()
+
+
 def _span_worker(args):
-    """Check every candidate whose first-thread program falls in a slice.
+    """Check every orbit whose representative's first-thread program
+    falls in a slice, crediting its verdict to the whole orbit.
 
     Returns (candidate count, rejection counters, {canonical body:
-    (states, actions)}, local duplicate count).
+    (states, actions)}, local duplicate count, `_check_candidate` calls).
     """
     config, comp, lo, hi = args
     nl, vd = config.num_locations, config.value_domain
@@ -329,48 +382,57 @@ def _span_worker(args):
     accepted: dict[str, tuple[int, int]] = {}
     dup = 0
     candidates = 0
+    explored = 0
     n = len(comp)
 
-    for first in positions[0][lo:hi]:
-        for rest in itertools.product(*positions[1:]):
-            candidates += 1
-            cand = (first,) + rest
-            prop = [c[2] for c in cand]
-            if not any(pr[0] for pr in prop):
-                rejected["no_nontermination_cycle"] += 1
-                continue
-            # Influence needs a branch on a location another thread writes.
-            influence_possible = False
-            for j in range(n):
-                others = 0
-                for k in range(n):
-                    if k != j:
-                        others |= prop[k][2]
-                if prop[j][1] & others:
-                    influence_possible = True
-                    break
-            if not influence_possible:
-                rejected["no_cross_thread_influence"] += 1
-                continue
-            reason, n_states, n_actions = _check_candidate(
-                cand, vl, lanes, config.max_states, config.max_actions
-            )
-            if reason is not None:
-                rejected[reason] += 1
-                continue
-            test = LitmusTest("candidate", nl, vd, tuple(c[0] for c in cand))
+    for idx in _representatives(comp, [len(p) for p in positions], lo, hi):
+        orbit = _orbit_size(comp, idx)
+        candidates += orbit
+        cand = tuple(p[i] for p, i in zip(positions, idx))
+        prop = [c[2] for c in cand]
+        if not any(pr[0] for pr in prop):
+            rejected["no_nontermination_cycle"] += orbit
+            continue
+        # Influence needs a branch on a location another thread writes.
+        influence_possible = False
+        for j in range(n):
+            others = 0
+            for k in range(n):
+                if k != j:
+                    others |= prop[k][2]
+            if prop[j][1] & others:
+                influence_possible = True
+                break
+        if not influence_possible:
+            rejected["no_cross_thread_influence"] += orbit
+            continue
+        explored += 1
+        reason, n_states, n_actions = _check_candidate(
+            cand, vl, lanes, config.max_states, config.max_actions
+        )
+        if reason is not None:
+            rejected[reason] += orbit
+            continue
+        for order in _thread_orders(comp, idx):
+            test = LitmusTest("candidate", nl, vd, tuple(cand[k][0] for k in order))
             body = canonicalize(test, config.symmetry_reduction)
             if body in accepted:
                 dup += 1
             else:
                 accepted[body] = (n_states, n_actions)
-    return candidates, rejected, accepted, dup
+    return candidates, rejected, accepted, dup, explored
 
 
 def synthesize(config: SynthConfig) -> SynthResult:
     """Enumerate, filter, and deduplicate the whole bounded space."""
     t0 = time.perf_counter()
-    comps = compositions(config.total_instructions, config.num_threads)
+    # One composition per thread-length multiset; `_span_worker` covers
+    # the others through the orbits of its representatives.
+    comps = [
+        comp
+        for comp in compositions(config.total_instructions, config.num_threads)
+        if list(comp) == sorted(comp)
+    ]
 
     tasks = []
     for comp in comps:
@@ -392,11 +454,13 @@ def synthesize(config: SynthConfig) -> SynthResult:
             outcomes = list(pool.map(_span_worker, tasks))
 
     candidates = 0
+    explored = 0
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     merged: dict[str, tuple[int, int]] = {}
     duplicates = 0
-    for cand, rej, accepted, dup in outcomes:
+    for cand, rej, accepted, dup, checked in outcomes:
         candidates += cand
+        explored += checked
         duplicates += dup
         for k, c in rej.items():
             rejected[k] += c
@@ -415,6 +479,7 @@ def synthesize(config: SynthConfig) -> SynthResult:
         sizes.append(merged[body])
     stats = SynthStats(
         candidates=candidates,
+        explored=explored,
         rejected=rejected,
         duplicates=duplicates,
         unique=len(tests),

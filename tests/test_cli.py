@@ -28,6 +28,7 @@ def test_synth_outputs(suite22, capsys):
     stats = json.loads((suite22 / "stats.json").read_text())
     assert stats["config"]["threads"] == 2
     assert stats["candidates"] == 324
+    assert stats["explored"] == 60  # one check per orbit past the prefilters
     assert stats["unique"] == 20
 
 
@@ -155,6 +156,7 @@ def test_classify_rejects_duplicate_names(tmp_path, capsys):
 def test_report_without_data(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "no data\n"
+
 
 
 def test_emit_suite(suite22, tmp_path, capsys):

@@ -14,7 +14,10 @@ from progress_lab.oracle import check_matrix
 from progress_lab.synth import (
     SynthConfig,
     _check_candidate,
+    _orbit_size,
+    _representatives,
     _tables,
+    _thread_orders,
     canonicalize,
     compositions,
     synthesize,
@@ -113,13 +116,18 @@ def test_determinism(small):
 
 
 def test_parallel_equals_serial(suites):
-    for bounds in ((2, 2), (2, 3)):
+    # (3,3) is the first bound with three equal-length threads, so an
+    # orbit representative's nondecreasing program indices span slices.
+    for bounds in ((2, 2), (2, 3), (3, 3)):
         serial = suites(*bounds)
         par = synthesize(SynthConfig(*bounds, jobs=2))
         assert [t.threads for t in par.tests] == [t.threads for t in serial.tests]
         assert par.lts_sizes == serial.lts_sizes
-        assert par.stats.candidates == serial.stats.candidates
-        assert par.stats.unique == serial.stats.unique
+        counters = [r.stats.to_json_dict() for r in (par, serial)]
+        for c in counters:
+            del c["elapsed_seconds"]
+        assert counters[0] == counters[1]
+        assert 0 < serial.stats.explored < serial.stats.candidates
 
 
 def test_size_caps_reject_and_match_filtering(small):
@@ -242,3 +250,29 @@ def test_thread_permutations_share_verdicts():
                     sorted_verdicts[key] = verdict(*zip(*key))
                 assert verdict(comp, idx) == sorted_verdicts[key], (comp, idx)
     assert checked == SUITE_CANDIDATES[(2, 3)] + SUITE_CANDIDATES[(3, 3)]
+
+
+def test_representatives_cover_every_candidate_once():
+    # Expanding each orbit representative into its distinct thread
+    # permutations gives the whole candidate space, each candidate once.
+    for bounds in ((2, 2), (2, 3), (3, 3)):
+        comps = compositions(bounds[1], bounds[0])
+        counts = {comp: [len(p) for p in _tables(comp, 2, 2)[2]] for comp in comps}
+        space = [
+            tuple(zip(comp, idx))
+            for comp in comps
+            for idx in itertools.product(*map(range, counts[comp]))
+        ]
+        expanded = []
+        orbits = 0
+        for comp in comps:
+            if list(comp) != sorted(comp):
+                continue
+            for idx in _representatives(comp, counts[comp], 0, counts[comp][0]):
+                keys = tuple(zip(comp, idx))
+                orders = _thread_orders(comp, idx)
+                assert len(orders) == _orbit_size(comp, idx), keys
+                orbits += len(orders)
+                expanded += [tuple(keys[k] for k in order) for order in orders]
+        assert sorted(expanded) == sorted(space)
+        assert orbits == len(space) == SUITE_CANDIDATES[bounds]
