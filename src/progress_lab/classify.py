@@ -215,6 +215,31 @@ def summary_from_partitions(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def load_partitions(path: str | Path) -> dict:
+    """Read a saved partitions document, checking the shape that
+    `summary_from_partitions` reads; any of its keys may be missing."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    ok = isinstance(doc, dict) and (
+        all(
+            isinstance(doc.get(k, []), list)
+            for k in ("weak_tests", "strong_tests", "unclassified", "hierarchy")
+        )
+        and all(isinstance(t, str) for t in doc.get("hierarchy", []))
+        and isinstance(doc.get("weak_fraction", 0.0), (int, float))
+        and all(
+            isinstance(sets, dict) and all(isinstance(v, list) for v in sets.values())
+            for sets in (doc.get("conformance", {}), doc.get("distinguishing", {}))
+        )
+    )
+    if not ok:
+        raise ValueError(
+            f"{path}: expected an object with lists 'weak_tests', 'strong_tests', "
+            "'unclassified' and 'hierarchy' (of strings), a number 'weak_fraction', "
+            "and objects of lists 'conformance' and 'distinguishing'"
+        )
+    return doc
+
+
 def write_report(report: SuiteReport, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

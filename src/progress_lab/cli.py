@@ -14,7 +14,13 @@ import os
 import sys
 from pathlib import Path
 
-from .classify import classify_suite, summary_from_partitions, summary_text, write_report
+from .classify import (
+    classify_suite,
+    load_partitions,
+    summary_from_partitions,
+    summary_text,
+    write_report,
+)
 from .emit import Backend, EmitConfig, Variant, emit_suite, expand_layout, resolve_instances
 from .lts import (
     DEFAULT_MAX_STATES,
@@ -182,8 +188,7 @@ def _cmd_report(args) -> int:
     if not path.is_file():
         print("no data")
         return 0
-    data = json.loads(path.read_text(encoding="utf-8"))
-    print(summary_from_partitions(data), end="")
+    print(summary_from_partitions(load_partitions(path)), end="")
     return 0
 
 

@@ -158,6 +158,18 @@ def test_report_without_data(tmp_path, capsys):
     assert capsys.readouterr().out == "no data\n"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[], {"conformance": {"weak-fair": 3}, "hierarchy": ["weak-fair"]}],
+)
+def test_report_rejects_malformed_partitions(tmp_path, capsys, doc):
+    path = tmp_path / "partitions.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error [report]: {path}: expected")
+
 
 def test_emit_suite(suite22, tmp_path, capsys):
     out = tmp_path / "kernels"
