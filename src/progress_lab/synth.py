@@ -29,11 +29,14 @@ Permuting threads permutes the pc lanes of the plain LTS and nothing
 else, so the LTS stays isomorphic: the state and action counts, end
 reachability, the cycle and the branch outcomes covered are all the
 same, and so are both syntactic prefilters.  The representative has a
-nondecreasing composition and nondecreasing program indices within each
+nonincreasing composition and nondecreasing program indices within each
 run of equal thread lengths; its verdict counts once per permutation,
 and an accepted one is expanded into every distinct permutation before
-dedup.  The suite stays thread-distinct, since thread ids decide the
-OBE, LOBE and HSA verdicts; only the checking work shrinks.
+dedup.  Putting the longest thread first gives `jobs > 1` the most
+first-thread programs to slice, and when that length is unique in the
+composition every slice holds equally many orbits.  The suite stays
+thread-distinct, since thread ids decide the OBE, LOBE and HSA verdicts;
+only the checking work shrinks.
 """
 
 from __future__ import annotations
@@ -332,7 +335,7 @@ def canonicalize(test: LitmusTest, symmetry_reduction: bool = False) -> str:
 
 
 def _representatives(comp, counts, lo, hi):
-    """Program-index tuples of a nondecreasing composition, one per
+    """Program-index tuples of a nonincreasing composition, one per
     thread-permutation orbit: the first index lies in [lo, hi), and
     within each run of equal thread lengths the indices never decrease.
     `counts` gives the number of programs per thread."""
@@ -343,7 +346,10 @@ def _representatives(comp, counts, lo, hi):
         for k, r in zip(starts[1:], runs[1:])
     ]
     for first in range(lo, hi):
-        heads = itertools.combinations_with_replacement(range(first, counts[0]), runs[0] - 1)
+        # The pool is copied per call, so a lone first thread skips it.
+        heads = [()]
+        if runs[0] > 1:
+            heads = itertools.combinations_with_replacement(range(first, counts[0]), runs[0] - 1)
         for parts in itertools.product(heads, *later):
             yield (first, *itertools.chain.from_iterable(parts))
 
@@ -431,7 +437,7 @@ def synthesize(config: SynthConfig) -> SynthResult:
     comps = [
         comp
         for comp in compositions(config.total_instructions, config.num_threads)
-        if list(comp) == sorted(comp)
+        if list(comp) == sorted(comp, reverse=True)
     ]
 
     tasks = []

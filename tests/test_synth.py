@@ -266,7 +266,7 @@ def test_representatives_cover_every_candidate_once():
         expanded = []
         orbits = 0
         for comp in comps:
-            if list(comp) != sorted(comp):
+            if list(comp) != sorted(comp, reverse=True):
                 continue
             for idx in _representatives(comp, counts[comp], 0, counts[comp][0]):
                 keys = tuple(zip(comp, idx))
