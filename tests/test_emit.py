@@ -1,5 +1,6 @@
 """Kernel emission: golden source, workgroup mapping, layouts, manifests."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -275,3 +276,33 @@ def test_emission_is_deterministic(idioms):
     first = emit_kernel(idioms["bidirectional"], config)
     second = emit_kernel(idioms["bidirectional"], config)
     assert first == second
+
+
+HARNESS_LAYOUTS = [(Variant.PLAIN, 1)] + [
+    (variant, m)
+    for variant, counts in ((Variant.CHUNKED, (1, 2, 3, 64)), (Variant.ROUND_ROBIN, (1, 2, 3, 4, 64)))
+    for m in counts
+]
+
+
+def test_harness_bytes_are_pinned(idioms):
+    """Every harness artifact's sha256, against committed digests.
+
+    The auto-instance chunked mutex harness is the largest the workgroup
+    limit allows (65,534 workgroups); it must also load back as its layout.
+    """
+    digests = {}
+    for name, test in idioms.items():
+        for variant, m in HARNESS_LAYOUTS:
+            source = emit_kernel(test, EmitConfig(Backend.HARNESS, variant, m)).source
+            digests[f"{name}.{variant.value}.x{m}"] = hashlib.sha256(source.encode()).hexdigest()
+    mutex = idioms["mutex"]
+    artifact = emit_kernel(mutex, EmitConfig(Backend.HARNESS, Variant.CHUNKED))
+    digests["mutex.chunked.auto"] = hashlib.sha256(artifact.source.encode()).hexdigest()
+    assert digests == json.loads(GOLDEN.joinpath("harness_sha256.json").read_text())
+
+    loaded = load_harness(artifact.source)
+    expected = expand_layout(mutex, Variant.CHUNKED, 32767)
+    assert loaded.threads == expected.threads
+    assert loaded.num_locations == expected.num_locations
+    assert loaded.value_domain == expected.value_domain

@@ -1,5 +1,10 @@
 """Scheduler playback: termination, proven loops, and seeded campaigns."""
 
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from progress_lab.axb import AxbInstruction, LitmusTest
@@ -13,6 +18,8 @@ from progress_lab.schedsim import (
     derive_seed,
     simulate,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SPIN = LitmusTest(
     name="spin",
@@ -157,3 +164,45 @@ def test_campaign_shapes_and_determinism_flag(idioms):
 
 def test_campaign_default_budget_in_spec():
     assert SchedulerSpec(kind=SchedulerKind.UNFAIR_RANDOM).step_budget == DEFAULT_STEP_BUDGET
+
+
+# The nine scheduler settings of the benchmark's layouts workload.
+PINNED_BUDGET = 50_000
+PINNED_SPECS = (
+    SchedulerSpec(SchedulerKind.FAIR_ROUND_ROBIN, step_budget=PINNED_BUDGET),
+    SchedulerSpec(SchedulerKind.UNFAIR_RANDOM, step_budget=PINNED_BUDGET),
+    SchedulerSpec(SchedulerKind.HSA_PRIORITY, step_budget=PINNED_BUDGET),
+    *(
+        SchedulerSpec(kind, slots=slots, step_budget=PINNED_BUDGET)
+        for kind in (SchedulerKind.OBE_NONPREEMPTIVE, SchedulerKind.LOBE_NONPREEMPTIVE)
+        for slots in (1, 2, 4)
+    ),
+)
+
+
+def test_simulate_outcomes_are_pinned(idioms):
+    """Every outcome of the benchmark's layout runs, against a committed digest.
+
+    A change to the simulator that alters any run (which thread steps,
+    when a loop is proved, when the budget runs out) changes the digest.
+    """
+    rows = []
+    for instances, iterations in ((1, 20), (4, 20), (64, 1)):
+        for test in idioms.values():
+            for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN):
+                layout = expand_layout(test, variant, instances)
+                for spec in PINNED_SPECS:
+                    for it in range(iterations):
+                        seeded = replace(spec, seed=derive_seed(0, layout.name, spec, it))
+                        o = simulate(layout, seeded)
+                        rows.append(
+                            [
+                                layout.name, spec.kind.value, spec.slots, it,
+                                o.terminated, o.steps_used, list(o.per_thread_steps),
+                                o.nontermination_proved,
+                            ]
+                        )
+    text = json.dumps(rows, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert len(rows) == 4428
+    assert digest == GOLDEN.joinpath("simulate_outcomes.sha256").read_text().strip()
