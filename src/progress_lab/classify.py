@@ -218,7 +218,10 @@ def summary_from_partitions(data: dict) -> str:
 def load_partitions(path: str | Path) -> dict:
     """Read a saved partitions document, checking the shape that
     `summary_from_partitions` reads; any of its keys may be missing."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     ok = isinstance(doc, dict) and (
         all(
             isinstance(doc.get(k, []), list)

@@ -7,7 +7,9 @@ access hits the same coherence point.  The three C-like backends share
 one template and differ only in their `BACKENDS` dialect.  Multi-instance
 layouts replicate the test across disjoint memory regions and remap
 workgroup ids so the relative thread order inside every instance is
-preserved.
+preserved.  The harness text is written directly, one template per test
+thread, and equals `json.dumps(doc, indent=2)` of the harness document
+plus a final newline, without building the multi-instance test.
 """
 
 from __future__ import annotations
@@ -246,33 +248,50 @@ def _c_like_source(
 
 
 def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str:
-    expanded = expand_layout(test, config.variant, instances)
-    groups = []
     n = test.num_threads
-    for w, program in enumerate(expanded.threads):
-        m, i = map_workgroup(config.variant, w, n, instances)
-        groups.append(
-            {
-                "workgroup": w,
-                "instance": m,
-                "thread": i,
-                "program": [
-                    {"loc": ins.loc, "cmp": ins.cmp, "jump": ins.jump, "exch": ins.exch}
-                    for ins in program
-                ],
-            }
-        )
-    doc = {
+    header = {
         "kind": "axb-harness",
         "name": test.name,
         "variant": config.variant.value,
         "instances": instances,
         "threads_per_instance": n,
-        "memory_cells": expanded.num_locations,
+        "memory_cells": test.num_locations * instances,
         "value_domain": test.value_domain,
-        "workgroups": groups,
+        "workgroups": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # The header text ends with the empty list: '"workgroups": []\n}'.
+    head = json.dumps(header, indent=2).removesuffix("[]\n}")
+    # One %-template per test thread, in json.dumps's indent=2 layout:
+    # the workgroup, instance and thread ids, then each instruction's
+    # location, offset into the instance's memory region.
+    templates = []
+    for program in test.threads:
+        instructions = ",\n".join(
+            "        {\n"
+            '          "loc": %d,\n'
+            f'          "cmp": {ins.cmp},\n'
+            f'          "jump": {ins.jump},\n'
+            f'          "exch": {json.dumps(ins.exch)}\n'
+            "        }"
+            for ins in program
+        )
+        templates.append(
+            "    {\n"
+            '      "workgroup": %d,\n'
+            '      "instance": %d,\n'
+            '      "thread": %d,\n'
+            '      "program": [\n'
+            f"{instructions}\n"
+            "      ]\n"
+            "    }"
+        )
+    locs = [tuple(ins.loc for ins in program) for program in test.threads]
+    groups = []
+    for w in range(n * instances):
+        m, i = map_workgroup(config.variant, w, n, instances)
+        offset = m * test.num_locations
+        groups.append(templates[i] % (w, m, i, *(loc + offset for loc in locs[i])))
+    return head + "[\n" + ",\n".join(groups) + "\n  ]\n}\n"
 
 
 def load_harness(source: str) -> LitmusTest:

@@ -7,12 +7,20 @@ kinds, whose randomness is only the admission order drawn up front)
 additionally detect an exact repeat of (machine state, scheduler
 state), which proves the run can never terminate; the outcome then
 reports `nontermination_proved` with the steps actually executed.
+
+Per step, the cost that grows with the thread count is the new machine
+state (`axb.step` copies the pc tuple, and the memory tuple on a write)
+and, for the deterministic kinds, hashing the full state for the repeat
+check.  The sorted alive list changes only when a thread exits, so
+picking a thread is O(log threads) for round-robin, O(slots) for the
+non-preemptive kinds and O(1) for the random ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -64,12 +72,9 @@ class _RoundRobin:
         self.n = num_threads
         self.next_tid = 0
 
-    def pick(self, alive: tuple[int, ...]) -> int:
-        for tid in alive:
-            if tid >= self.next_tid:
-                break
-        else:
-            tid = alive[0]
+    def pick(self, alive: list[int]) -> int:
+        i = bisect_left(alive, self.next_tid)
+        tid = alive[i] if i < len(alive) else alive[0]
         self.next_tid = (tid + 1) % self.n
         return tid
 
@@ -82,23 +87,25 @@ class _Nonpreemptive:
 
     deterministic = True
 
-    def __init__(self, queue: list[int], slots: int):
+    def __init__(self, queue: list[int], slots: int, live: list[bool]):
         self.queue = queue
         self.qpos = 0
         self.slots = slots
+        self.live = live  # per-thread flags, cleared by `simulate` on exit
         self.admitted: list[int] = []
         self.rr = 0
 
-    def _refill(self, alive_set: set[int]) -> None:
-        self.admitted = [t for t in self.admitted if t in alive_set]
+    def _refill(self) -> None:
+        live = self.live
+        self.admitted = [t for t in self.admitted if live[t]]
         while self.qpos < len(self.queue) and len(self.admitted) < self.slots:
             tid = self.queue[self.qpos]
             self.qpos += 1
-            if tid in alive_set:
+            if live[tid]:
                 self.admitted.append(tid)
 
-    def pick(self, alive: tuple[int, ...]) -> int:
-        self._refill(set(alive))
+    def pick(self, alive: list[int]) -> int:
+        self._refill()
         self.rr %= len(self.admitted)
         tid = self.admitted[self.rr]
         self.rr += 1
@@ -114,7 +121,7 @@ class _UnfairRandom:
     def __init__(self, rng: random.Random):
         self.rng = rng
 
-    def pick(self, alive: tuple[int, ...]) -> int:
+    def pick(self, alive: list[int]) -> int:
         return self.rng.choice(alive)
 
 
@@ -125,22 +132,23 @@ class _HsaPriority:
         self.rng = rng
         self.p = priority_prob
 
-    def pick(self, alive: tuple[int, ...]) -> int:
+    def pick(self, alive: list[int]) -> int:
         if self.rng.random() < self.p:
             return alive[0]
         return self.rng.choice(alive)
 
 
-def _make_scheduler(spec: SchedulerSpec, num_threads: int):
+def _make_scheduler(spec: SchedulerSpec, live: list[bool]):
     rng = random.Random(spec.seed)
+    num_threads = len(live)
     if spec.kind is SchedulerKind.FAIR_ROUND_ROBIN:
         return _RoundRobin(num_threads)
     if spec.kind is SchedulerKind.LOBE_NONPREEMPTIVE:
-        return _Nonpreemptive(list(range(num_threads)), spec.slots)
+        return _Nonpreemptive(list(range(num_threads)), spec.slots, live)
     if spec.kind is SchedulerKind.OBE_NONPREEMPTIVE:
         order = list(range(num_threads))
         rng.shuffle(order)
-        return _Nonpreemptive(order, spec.slots)
+        return _Nonpreemptive(order, spec.slots, live)
     if spec.kind is SchedulerKind.UNFAIR_RANDOM:
         return _UnfairRandom(rng)
     return _HsaPriority(rng, spec.priority_prob)
@@ -152,23 +160,30 @@ def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
     counts = [0] * test.num_threads
     steps = 0
     seen: set[tuple[MachineState, object]] = set()
-    sched = _make_scheduler(spec, test.num_threads)
+    # Sorted; a thread leaves it only when its own step ends its program.
+    alive = list(enabled_threads(test, machine))
+    live = [False] * test.num_threads
+    for tid in alive:
+        live[tid] = True
+    ends = [len(program) for program in test.threads]
+    sched = _make_scheduler(spec, live)
     while steps < spec.step_budget:
-        alive = enabled_threads(test, machine)
         if not alive:
             return RunOutcome(True, steps, tuple(counts))
         if sched.deterministic:
-            key = (machine, sched.state_key())
-            if key in seen:
+            # One hash per step: a repeat leaves the set's size unchanged.
+            size = len(seen)
+            seen.add((machine, sched.state_key()))
+            if len(seen) == size:
                 return RunOutcome(False, steps, tuple(counts), True)
-            seen.add(key)
         tid = sched.pick(alive)
         machine = step(test, machine, tid)
         counts[tid] += 1
         steps += 1
-    if not enabled_threads(test, machine):
-        return RunOutcome(True, steps, tuple(counts))
-    return RunOutcome(False, steps, tuple(counts))
+        if machine.pcs[tid] == ends[tid]:
+            alive.remove(tid)
+            live[tid] = False
+    return RunOutcome(not alive, steps, tuple(counts))
 
 
 def derive_seed(base_seed: int, test_name: str, spec: SchedulerSpec, iteration: int) -> int:

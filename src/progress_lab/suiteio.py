@@ -48,7 +48,10 @@ def load_suite(suite_dir: str | Path) -> list[LitmusTest]:
         raise FileNotFoundError(f"not a suite directory: {root}")
     index = root / "suite.json"
     if index.is_file():
-        doc = json.loads(index.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(index.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{index}: {exc}") from exc
         entries = doc.get("tests") if isinstance(doc, dict) else None
         if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries

@@ -9,6 +9,7 @@ agreement between this module and the package is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 INIT_TAG = "init"
@@ -227,6 +228,70 @@ def replay_witness(test, witness):
         assert mem == witness.stuck_machine.memory
         assert pcs == witness.stuck_machine.pcs
     return mem, pcs
+
+
+# ------------------------------------------------------- scheduler replay
+
+
+def naive_simulate(test, spec):
+    """Replay `test` under the scheduler `spec` describes.
+
+    Returns (terminated, steps, per-thread steps, nontermination proved).
+    The alive threads are rescanned before every step.  Round-robin,
+    OBE and LOBE fix their choices up front, so a repeated (memory, pcs,
+    scheduler state) before a pick proves the run never ends.
+    """
+    threads = test.threads
+    n = len(threads)
+    kind = spec.kind.value
+    rng = random.Random(spec.seed)
+    queue = list(range(n))  # admission order of the non-preemptive kinds
+    if kind == "obe-nonpreemptive":
+        rng.shuffle(queue)
+    next_tid = 0  # round-robin
+    admitted, rr, qpos = [], 0, 0  # non-preemptive
+    mem = (0,) * test.num_locations
+    pcs = tuple(0 for _ in threads)
+    counts = [0] * n
+    seen = set()
+    steps = 0
+    while steps < spec.step_budget:
+        alive = alive_threads(threads, pcs)
+        if not alive:
+            return True, steps, tuple(counts), False
+        if kind == "fair-round-robin":
+            key = (mem, pcs, next_tid)
+        elif kind.endswith("-nonpreemptive"):
+            key = (mem, pcs, tuple(admitted), rr, qpos)
+        else:
+            key = None
+        if key is not None:
+            if key in seen:
+                return False, steps, tuple(counts), True
+            seen.add(key)
+
+        if kind == "fair-round-robin":
+            later = [t for t in alive if t >= next_tid]
+            tid = later[0] if later else alive[0]
+            next_tid = (tid + 1) % n
+        elif kind == "unfair-random":
+            tid = rng.choice(alive)
+        elif kind == "hsa-priority":
+            tid = alive[0] if rng.random() < spec.priority_prob else rng.choice(alive)
+        else:
+            alive_set = set(alive)
+            admitted = [t for t in admitted if t in alive_set]
+            while qpos < n and len(admitted) < spec.slots:
+                if queue[qpos] in alive_set:
+                    admitted.append(queue[qpos])
+                qpos += 1
+            rr %= len(admitted)
+            tid = admitted[rr]
+            rr += 1
+        mem, pcs, _ = naive_step(threads, mem, pcs, tid)
+        counts[tid] += 1
+        steps += 1
+    return not alive_threads(threads, pcs), steps, tuple(counts), False
 
 
 # ------------------------------------------------------- brute-force search

@@ -171,6 +171,22 @@ def test_report_rejects_malformed_partitions(tmp_path, capsys, doc):
     assert captured.err.startswith(f"error [report]: {path}: expected")
 
 
+def test_report_names_partitions_file_with_a_json_syntax_error(tmp_path, capsys):
+    path = tmp_path / "partitions.json"
+    path.write_text("{")
+    assert main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error [report]: {path}: Expecting")
+
+
+def test_classify_names_suite_index_with_a_json_syntax_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "suite.json").write_text("{")
+    assert main(["classify", "--suite", str(suite), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [classify]: {suite / 'suite.json'}: Expecting")
+
+
 def test_emit_suite(suite22, tmp_path, capsys):
     out = tmp_path / "kernels"
     rc = main(["emit", "--suite", str(suite22), "--backend", "glsl",

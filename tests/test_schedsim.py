@@ -6,7 +6,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from naive import naive_simulate
+from progress_lab import schedsim
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.emit import Variant, expand_layout
 from progress_lab.schedsim import (
@@ -18,6 +22,7 @@ from progress_lab.schedsim import (
     derive_seed,
     simulate,
 )
+from strategies import litmus_tests
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +127,41 @@ def test_hsa_priority_extremes(idioms):
     outcome = simulate(idioms["prodcons-decreasing"], always_lowest)
     assert not outcome.terminated
     assert outcome.steps_used == 2_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(litmus_tests(), st.integers(0, 2**32 - 1))
+def test_simulate_matches_naive_reference(test, seed):
+    for kind in SchedulerKind:
+        for slots in (1, 2, 3):
+            spec = SchedulerSpec(kind, slots=slots, seed=seed, step_budget=200)
+            assert simulate(test, spec) == RunOutcome(*naive_simulate(test, spec)), spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SchedulerSpec(SchedulerKind.FAIR_ROUND_ROBIN, step_budget=5_000),
+        SchedulerSpec(SchedulerKind.LOBE_NONPREEMPTIVE, slots=2, step_budget=5_000),
+    ],
+    ids=["round-robin", "lobe-2"],
+)
+def test_simulate_calls_step_once_per_step(idioms, monkeypatch, spec):
+    # The benchmark counts calls to `schedsim.step` as simulated steps.
+    calls = 0
+    original = schedsim.step
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(schedsim, "step", counting)
+    for test in idioms.values():
+        for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN):
+            calls = 0
+            outcome = simulate(expand_layout(test, variant, 4), spec)
+            assert calls == outcome.steps_used > 0
 
 
 def test_derive_seed_is_stable_and_spread():
