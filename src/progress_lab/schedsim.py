@@ -165,7 +165,6 @@ def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
     live = [False] * test.num_threads
     for tid in alive:
         live[tid] = True
-    ends = [len(program) for program in test.threads]
     sched = _make_scheduler(spec, live)
     while steps < spec.step_budget:
         if not alive:
@@ -180,7 +179,7 @@ def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
         machine = step(test, machine, tid)
         counts[tid] += 1
         steps += 1
-        if machine.pcs[tid] == ends[tid]:
+        if machine.pcs[tid] == len(test.threads[tid]):
             alive.remove(tid)
             live[tid] = False
     return RunOutcome(not alive, steps, tuple(counts))
