@@ -157,6 +157,46 @@ def test_hierarchy_rejects_cycles():
         Hierarchy([(a, b), (b, a)])
 
 
+def _reference_edges(include_hsa_obe):
+    """The covering relation of the order, written out edge by edge."""
+    W, S = Fairness.WEAK, Fairness.STRONG
+    edges = []
+    for f in (W, S):
+        edges += [
+            (UNFAIR_VARIANT, (M.HSA, f)),
+            (UNFAIR_VARIANT, (M.OBE, f)),
+            ((M.HSA, f), (M.LOBE, f)),
+            ((M.OBE, f), (M.LOBE, f)),
+            ((M.LOBE, f), (M.FAIR, f)),
+        ]
+        if include_hsa_obe:
+            edges += [
+                ((M.HSA, f), (M.HSA_OBE, f)),
+                ((M.OBE, f), (M.HSA_OBE, f)),
+                ((M.HSA_OBE, f), (M.LOBE, f)),
+            ]
+    models = [M.HSA, M.OBE, M.LOBE, M.FAIR] + ([M.HSA_OBE] if include_hsa_obe else [])
+    edges += [((m, W), (m, S)) for m in models]
+    return edges
+
+
+@pytest.mark.parametrize("include_hsa_obe", [False, True])
+def test_hierarchy_matches_the_closed_reference_edges(include_hsa_obe):
+    closure = set(_reference_edges(include_hsa_obe))
+    while True:
+        extra = {(a, d) for a, b in closure for c, d in closure if b == c} - closure
+        if not extra:
+            break
+        closure |= extra
+    h = default_hierarchy(include_hsa_obe)
+    assert h.variants == all_model_variants(include_hsa_obe)
+    everything = all_model_variants(True)
+    for a in everything:
+        assert h.strictly_below(a) == {b for b in everything if (b, a) in closure}
+        for b in everything:
+            assert h.less_fair(a, b) == ((a, b) in closure), (a, b)
+
+
 def test_unfair_is_below_every_variant():
     h = default_hierarchy()
     assert h.less_fair(UNFAIR_VARIANT, (M.FAIR, Fairness.WEAK))
