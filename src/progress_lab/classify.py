@@ -119,17 +119,17 @@ def classify_suite(
             n for n in conformance[tok] if n not in rivals
         )
 
-    anomalies = []
-    ordered = hierarchy.variants
-    for name in classified:
-        row = matrix[name]
-        for high in ordered:
-            for low in hierarchy.strictly_below(high):
-                lo_tok, hi_tok = variant_token(low), variant_token(high)
-                if row[lo_tok] and not row[hi_tok]:
-                    anomalies.append(
-                        f"{name}: passes {lo_tok} but fails {hi_tok}"
-                    )
+    below = [
+        (variant_token(low), variant_token(high))
+        for high in hierarchy.variants
+        for low in hierarchy.strictly_below(high)
+    ]
+    anomalies = [
+        f"{name}: passes {lo} but fails {hi}"
+        for name in classified
+        for lo, hi in below
+        if matrix[name][lo] and not matrix[name][hi]
+    ]
 
     return SuiteReport(
         names=tuple(names),
@@ -146,7 +146,7 @@ def classify_suite(
 
 
 def matrix_csv(report: SuiteReport) -> str:
-    columns = [variant_token(v) for v in all_model_variants(True)]
+    columns = [variant_token(v) for v in all_model_variants()]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["test"] + columns)

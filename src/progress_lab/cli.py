@@ -28,13 +28,13 @@ from .lts import (
     build_monitored_lts,
     build_plain_lts,
 )
-from .models import Fairness, ProgressModel, default_hierarchy, variant_token
+from .models import Fairness, ProgressModel, all_model_variants, default_hierarchy, variant_token
 from .oracle import check_matrix, format_witness
 from .schedsim import DEFAULT_STEP_BUDGET, SchedulerKind, SchedulerSpec, campaign
 from .suiteio import load_suite, load_test, save_suite
 from .synth import SynthConfig, synthesize
 
-MODEL_TOKENS = ("unfair", "hsa", "obe", "hsa+obe", "lobe", "fair")
+MODEL_TOKENS = tuple(dict.fromkeys(model.value for model, _ in all_model_variants()))
 
 
 def _resolve_seed(value: int | None) -> int:

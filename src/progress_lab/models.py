@@ -4,8 +4,13 @@ A progress model maps scheduler-visible facts (who has stepped, who has
 terminated) to the fair set F: the threads that are guaranteed eventual
 execution from that point on.  Six models are supported; all except
 `unfair` split into a weak and a strong flavor at verdict time, giving
-eleven distinct verdict-producing models.  The models form a strict
-partial order "strictly less fair than", used when classifying suites.
+eleven distinct verdict-producing models.
+
+Classifying uses the order "strictly less fair than" (Sorensen, Evrard
+& Donaldson, CONCUR 2018): unfair < {HSA, OBE} < HSA+OBE < LOBE < fair
+within a flavor, HSA and OBE incomparable, and weak < strong.  A variant
+is below another when both its model and its flavor are at most the
+other's; unfair, which has no flavor, is below every other variant.
 """
 
 from __future__ import annotations
@@ -100,71 +105,49 @@ def all_model_variants(include_hsa_obe: bool = True) -> tuple[ModelVariant, ...]
     return tuple(variants)
 
 
-class Hierarchy:
-    """The strict partial order "strictly less fair than" over variants.
+# Within one flavor, the models each model is at least as fair as.
+_AT_LEAST_AS_FAIR: dict[ProgressModel, frozenset[ProgressModel]] = {
+    high: frozenset(ProgressModel(m) for m in lows.split())
+    for high, lows in (
+        (ProgressModel.UNFAIR, "unfair"),
+        (ProgressModel.HSA, "unfair hsa"),
+        (ProgressModel.OBE, "unfair obe"),
+        (ProgressModel.HSA_OBE, "unfair hsa obe hsa+obe"),
+        (ProgressModel.LOBE, "unfair hsa obe hsa+obe lobe"),
+        (ProgressModel.FAIR, "unfair hsa obe hsa+obe lobe fair"),
+    )
+}
 
-    Stored as its transitive closure, keyed by the upper variant.
+
+class Hierarchy:
+    """The order "strictly less fair than" over `variants`, in report column order.
+
+    `a` is below `b` when they differ, `a`'s model is in `b`'s row of
+    `_AT_LEAST_AS_FAIR`, and `a` is not strong where `b` is weak.
+    Variants outside the hierarchy are comparable to nothing.
     """
 
-    def __init__(self, edges: list[tuple[ModelVariant, ModelVariant]]):
-        nodes: set[ModelVariant] = set()
-        for low, high in edges:
-            nodes.update((low, high))
-        below: dict[ModelVariant, set[ModelVariant]] = {n: set() for n in nodes}
-        for low, high in edges:
-            below[high].add(low)
-        # Transitive closure by iteration to a fixed point; the order is tiny.
-        changed = True
-        while changed:
-            changed = False
-            for high, lows in below.items():
-                extra = set().union(*(below[low] for low in lows)) - lows if lows else set()
-                if extra:
-                    lows.update(extra)
-                    changed = True
-        if any(high in lows for high, lows in below.items()):
-            raise ValueError("hierarchy edges form a cycle")
-        self._below = {high: frozenset(lows) for high, lows in below.items()}
-        order = all_model_variants(include_hsa_obe=True)
-        self._variants = tuple(v for v in order if v in nodes)
+    def __init__(self, variants: tuple[ModelVariant, ...]):
+        self._variants = tuple(variants)
 
     @property
     def variants(self) -> tuple[ModelVariant, ...]:
         return self._variants
 
     def strictly_below(self, variant: ModelVariant) -> frozenset[ModelVariant]:
-        return self._below.get(variant, frozenset())
+        return frozenset(v for v in self._variants if self.less_fair(v, variant))
 
     def less_fair(self, a: ModelVariant, b: ModelVariant) -> bool:
         """True when `a` is strictly less fair than `b`."""
-        return a in self._below.get(b, frozenset())
+        return (
+            a != b
+            and a in self._variants
+            and b in self._variants
+            and a[0] in _AT_LEAST_AS_FAIR[b[0]]
+            and (a[1], b[1]) != (Fairness.STRONG, Fairness.WEAK)
+        )
 
 
 def default_hierarchy(include_hsa_obe: bool = False) -> Hierarchy:
-    """unfair < {HSA, OBE} < LOBE < fair per flavor, plus weak < strong.
-
-    HSA and OBE stay incomparable.  `hsa+obe` sits between {HSA, OBE}
-    and LOBE when requested; it is excluded by default.
-    """
-    W, S = Fairness.WEAK, Fairness.STRONG
-    edges: list[tuple[ModelVariant, ModelVariant]] = []
-    for f in (W, S):
-        edges += [
-            (UNFAIR_VARIANT, (ProgressModel.HSA, f)),
-            (UNFAIR_VARIANT, (ProgressModel.OBE, f)),
-            ((ProgressModel.HSA, f), (ProgressModel.LOBE, f)),
-            ((ProgressModel.OBE, f), (ProgressModel.LOBE, f)),
-            ((ProgressModel.LOBE, f), (ProgressModel.FAIR, f)),
-        ]
-        if include_hsa_obe:
-            edges += [
-                ((ProgressModel.HSA, f), (ProgressModel.HSA_OBE, f)),
-                ((ProgressModel.OBE, f), (ProgressModel.HSA_OBE, f)),
-                ((ProgressModel.HSA_OBE, f), (ProgressModel.LOBE, f)),
-            ]
-    models = [ProgressModel.HSA, ProgressModel.OBE, ProgressModel.LOBE, ProgressModel.FAIR]
-    if include_hsa_obe:
-        models.append(ProgressModel.HSA_OBE)
-    edges += [((m, W), (m, S)) for m in models]
-    return Hierarchy(edges)
-
+    """The order over the report's variants; `hsa+obe` only when requested."""
+    return Hierarchy(all_model_variants(include_hsa_obe))

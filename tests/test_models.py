@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from progress_lab.models import (
     UNFAIR_VARIANT,
     Fairness,
-    Hierarchy,
     ProgressModel,
     SchedulerFacts,
     all_model_variants,
@@ -149,12 +148,6 @@ def test_hierarchy_is_a_strict_order():
                 for c in h.variants:
                     if h.less_fair(b, c):
                         assert h.less_fair(a, c)
-
-
-def test_hierarchy_rejects_cycles():
-    a, b = (M.HSA, Fairness.WEAK), (M.OBE, Fairness.WEAK)
-    with pytest.raises(ValueError):
-        Hierarchy([(a, b), (b, a)])
 
 
 def _reference_edges(include_hsa_obe):
