@@ -129,6 +129,8 @@ def resolve_instances(
     variant: Variant, num_threads: int, instances: int | None = None
 ) -> int:
     """Explicit count, or the largest count the workgroup limit allows."""
+    if instances is not None and instances < 1:
+        raise ValueError("instance count must be positive")
     if variant is Variant.PLAIN:
         if instances not in (None, 1):
             raise ValueError("the plain layout runs exactly one instance")
@@ -297,21 +299,24 @@ def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str
 def load_harness(source: str) -> LitmusTest:
     """Rebuild the runnable litmus test from a harness artifact."""
     doc = json.loads(source)
-    if doc.get("kind") != "axb-harness":
-        raise ValueError("not a harness artifact")
-    threads = tuple(
-        tuple(
-            AxbInstruction(p["loc"], p["cmp"], p["jump"], p["exch"])
-            for p in group["program"]
+    try:
+        if doc.get("kind") != "axb-harness":
+            raise ValueError("not a harness artifact")
+        threads = tuple(
+            tuple(
+                AxbInstruction(p["loc"], p["cmp"], p["jump"], p["exch"])
+                for p in group["program"]
+            )
+            for group in doc["workgroups"]
         )
-        for group in doc["workgroups"]
-    )
-    return LitmusTest(
-        name=doc["name"],
-        num_locations=doc["memory_cells"],
-        value_domain=doc["value_domain"],
-        threads=threads,
-    )
+        return LitmusTest(
+            name=doc["name"],
+            num_locations=doc["memory_cells"],
+            value_domain=doc["value_domain"],
+            threads=threads,
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed harness artifact: {type(exc).__name__}: {exc}") from exc
 
 
 def emit_kernel(test: LitmusTest, config: EmitConfig) -> KernelArtifact:

@@ -205,6 +205,8 @@ def campaign(
     Each summary notes whether the observed termination behavior was
     deterministic across the iterations.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
     rows = []
     summaries = []
     for test in tests:

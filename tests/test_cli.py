@@ -229,6 +229,22 @@ def test_simulate_nonplain_needs_instances():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--variant", "chunked", "--instances", "0"], "instance count must be positive"),
+        (["--iterations", "0"], "iterations must be positive"),
+    ],
+)
+def test_simulate_rejects_nonpositive_counts(args, message, capsys):
+    rc = main(["simulate", "--suite", str(IDIOM_DIR),
+               "--scheduler", "fair-round-robin", *args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     args = ["simulate", "--suite", str(IDIOM_DIR),
             "--scheduler", "unfair-random",

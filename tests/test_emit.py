@@ -73,6 +73,9 @@ def test_resolve_instances():
         resolve_instances(Variant.PLAIN, 2, 5)
     with pytest.raises(ValueError):
         resolve_instances(Variant.CHUNKED, 2, 32768)
+    for variant in Variant:
+        with pytest.raises(ValueError, match="instance count must be positive"):
+            resolve_instances(variant, 2, 0)
 
 
 def test_config_validation():
@@ -193,9 +196,20 @@ def test_harness_roundtrip_expanded(idioms):
     assert rebuilt.value_domain == expanded.value_domain
 
 
-def test_load_harness_rejects_other_json():
-    with pytest.raises(ValueError):
-        load_harness('{"kind": "something-else"}')
+def test_load_harness_rejects_other_json(idioms):
+    source = emit_kernel(idioms["mutex"], EmitConfig(Backend.HARNESS)).source
+    no_workgroups = json.loads(source)
+    del no_workgroups["workgroups"]
+    no_cmp = json.loads(source)
+    del no_cmp["workgroups"][0]["program"][0]["cmp"]
+    for other in (
+        '{"kind": "something-else"}',
+        "[]",
+        json.dumps(no_workgroups),
+        json.dumps(no_cmp),
+    ):
+        with pytest.raises(ValueError):
+            load_harness(other)
 
 
 def test_timeouts_and_extensions():

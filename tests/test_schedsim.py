@@ -202,6 +202,13 @@ def test_campaign_shapes_and_determinism_flag(idioms):
     assert by_key[("prodcons-decreasing", "fair-round-robin")]["terminated"] == 4
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_campaign_rejects_nonpositive_iterations(idioms, iterations):
+    spec = SchedulerSpec(kind=SchedulerKind.FAIR_ROUND_ROBIN)
+    with pytest.raises(ValueError, match="iterations must be positive"):
+        campaign([idioms["mutex"]], [spec], iterations=iterations)
+
+
 def test_campaign_default_budget_in_spec():
     assert SchedulerSpec(kind=SchedulerKind.UNFAIR_RANDOM).step_budget == DEFAULT_STEP_BUDGET
 
