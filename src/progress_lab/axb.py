@@ -68,20 +68,32 @@ class LitmusTest:
             raise ValueError("value domain must contain at least one value")
         if not self.threads:
             raise ValueError("a test needs at least one thread")
+        nl, vd = self.num_locations, self.value_domain
         for tid, program in enumerate(self.threads):
             if not program:
                 raise ValueError(f"thread {tid} has no instructions")
+            # jump == len(program) is the explicit branch to "done".
+            n = len(program)
             for idx, ins in enumerate(program):
-                where = f"thread {tid}, instruction {idx}"
-                if not 0 <= ins.loc < self.num_locations:
-                    raise ValueError(f"{where}: location {ins.loc} out of range")
-                if not 0 <= ins.cmp < self.value_domain:
-                    raise ValueError(f"{where}: compare value {ins.cmp} out of range")
-                if ins.exch is not None and not 0 <= ins.exch < self.value_domain:
-                    raise ValueError(f"{where}: exchange value {ins.exch} out of range")
-                # jump == len(program) is the explicit branch to "done".
-                if not 0 <= ins.jump <= len(program):
-                    raise ValueError(f"{where}: jump target {ins.jump} out of range")
+                exch = ins.exch
+                if not (
+                    0 <= ins.loc < nl
+                    and 0 <= ins.cmp < vd
+                    and (exch is None or 0 <= exch < vd)
+                    and 0 <= ins.jump <= n
+                ):
+                    self._reject(tid, idx, ins)
+
+    def _reject(self, tid: int, idx: int, ins: AxbInstruction) -> None:
+        """Raise the error for the first bound that `ins` breaks."""
+        where = f"thread {tid}, instruction {idx}"
+        if not 0 <= ins.loc < self.num_locations:
+            raise ValueError(f"{where}: location {ins.loc} out of range")
+        if not 0 <= ins.cmp < self.value_domain:
+            raise ValueError(f"{where}: compare value {ins.cmp} out of range")
+        if ins.exch is not None and not 0 <= ins.exch < self.value_domain:
+            raise ValueError(f"{where}: exchange value {ins.exch} out of range")
+        raise ValueError(f"{where}: jump target {ins.jump} out of range")
 
     @property
     def num_threads(self) -> int:

@@ -126,9 +126,18 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _layout(args, parser) -> Variant:
+    """The `--variant` layout, once `--instances` is known to fit it."""
+    variant = Variant(args.variant)
+    if variant is Variant.PLAIN and args.instances is not None:
+        parser.error("--instances does not apply to the plain layout")
+    return variant
+
+
 def _cmd_emit(args, parser) -> int:
+    variant = _layout(args, parser)
     tests = load_suite(args.suite)
-    if args.instances == "auto":
+    if args.instances in (None, "auto"):
         instances = None
     else:
         try:
@@ -137,7 +146,7 @@ def _cmd_emit(args, parser) -> int:
             parser.error("--instances takes a positive integer or 'auto'")
     config = EmitConfig(
         backend=Backend(args.backend),
-        variant=Variant(args.variant),
+        variant=variant,
         instances=instances,
         workgroup_size=args.workgroup_size,
     )
@@ -150,11 +159,11 @@ def _cmd_emit(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    variant = _layout(args, parser)
+    if variant is not Variant.PLAIN and args.instances is None:
+        parser.error("--instances is required for non-plain layouts")
     tests = load_suite(args.suite)
-    variant = Variant(args.variant)
     if variant is not Variant.PLAIN:
-        if args.instances is None:
-            parser.error("--instances is required for non-plain layouts")
         tests = [
             expand_layout(t, variant, resolve_instances(variant, t.num_threads, args.instances))
             for t in tests
@@ -242,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--backend", required=True, choices=[b.value for b in Backend])
     p.add_argument("--variant", default="plain", choices=[v.value for v in Variant])
-    p.add_argument("--instances", default="auto")
+    p.add_argument("--instances", default=None,
+                   help="positive integer or 'auto' (the default) for non-plain layouts")
     p.add_argument("--workgroup-size", type=int, default=1)
     p.add_argument("--out", required=True)
 

@@ -18,6 +18,13 @@ starts a comment anywhere; blank lines are ignored.  Serialization is
 canonical (fixed field order, fixed two-space indent, no trailing
 whitespace), so two tests are structurally equal exactly when their
 serializations are byte-equal.
+
+The parser decodes each distinct instruction spelling once per header:
+a bounded cache maps the four field words plus the `locations` and
+`values` counts to the checked `AxbInstruction`.  Only successful
+decodes are kept, and everything else on the line (the index, its
+order, the `axb` keyword) is checked on every line, so errors and their
+positions do not depend on what was parsed before.
 """
 
 from __future__ import annotations
@@ -53,6 +60,52 @@ def _parse_nat(token: str, what: str, lineno: int, raw: str) -> int:
 
 _FIELD_ORDER = ("loc", "cmp", "jump", "exch")
 
+# Decoded instructions by (field words, locations, values); a suite
+# spells a few hundred instructions thousands of times.  Emptied when full.
+_DECODED: dict[tuple[str, str, str, str, int, int], AxbInstruction] = {}
+_DECODED_MAX = 4096
+
+
+def _decode_instruction(
+    words: list[str], lineno: int, raw: str, num_locations: int, value_domain: int
+) -> AxbInstruction:
+    """The instruction of one `IDX: axb ...` line, range-checked."""
+    fields: dict[str, str] = {}
+    for word in words[2:]:
+        key, eq, value = word.partition("=")
+        if not eq or key not in _FIELD_ORDER:
+            raise LitmusParseError(f"unknown field {word!r}", lineno, _column_of(raw, word))
+        if key in fields:
+            raise LitmusParseError(f"duplicate field {key!r}", lineno, _column_of(raw, word))
+        fields[key] = value
+    for key in _FIELD_ORDER:
+        if key not in fields:
+            raise LitmusParseError(f"missing field {key!r}", lineno)
+
+    loc = _parse_nat(fields["loc"], "loc", lineno, raw)
+    cmp = _parse_nat(fields["cmp"], "cmp", lineno, raw)
+    jump = _parse_nat(fields["jump"], "jump", lineno, raw)
+    exch = None if fields["exch"] == "none" else _parse_nat(fields["exch"], "exch", lineno, raw)
+    if loc >= num_locations:
+        raise LitmusParseError(
+            f"location {loc} out of range (locations {num_locations})",
+            lineno,
+            _column_of(raw, f"loc={fields['loc']}"),
+        )
+    if cmp >= value_domain:
+        raise LitmusParseError(
+            f"compare value {cmp} out of range (values {value_domain})",
+            lineno,
+            _column_of(raw, f"cmp={fields['cmp']}"),
+        )
+    if exch is not None and exch >= value_domain:
+        raise LitmusParseError(
+            f"exchange value {exch} out of range (values {value_domain})",
+            lineno,
+            _column_of(raw, f"exch={fields['exch']}"),
+        )
+    return AxbInstruction(loc, cmp, jump, exch)
+
 
 def parse_litmus(text: str) -> LitmusTest:
     """Parse one litmus test, rejecting malformed and out-of-range input."""
@@ -67,10 +120,9 @@ def parse_litmus(text: str) -> LitmusTest:
 
     phase = "test"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not words:
             continue
-        words = line.split()
 
         if phase == "test":
             if words[0] != "test" or len(words) != 2:
@@ -111,57 +163,22 @@ def parse_litmus(text: str) -> LitmusTest:
                     lineno,
                     _column_of(raw, words[0]),
                 )
+            program = threads[-1]
             idx = _parse_nat(words[0][:-1], "instruction index", lineno, raw)
-            if idx != len(threads[-1]):
+            if idx != len(program):
                 raise LitmusParseError(
-                    f"instruction indices must be sequential, expected {len(threads[-1])}",
+                    f"instruction indices must be sequential, expected {len(program)}",
                     lineno,
                     _column_of(raw, words[0]),
                 )
-            fields: dict[str, str] = {}
-            for word in words[2:]:
-                key, eq, value = word.partition("=")
-                if not eq or key not in _FIELD_ORDER:
-                    raise LitmusParseError(
-                        f"unknown field {word!r}", lineno, _column_of(raw, word)
-                    )
-                if key in fields:
-                    raise LitmusParseError(
-                        f"duplicate field {key!r}", lineno, _column_of(raw, word)
-                    )
-                fields[key] = value
-            for key in _FIELD_ORDER:
-                if key not in fields:
-                    raise LitmusParseError(f"missing field {key!r}", lineno)
-
-            loc = _parse_nat(fields["loc"], "loc", lineno, raw)
-            cmp = _parse_nat(fields["cmp"], "cmp", lineno, raw)
-            jump = _parse_nat(fields["jump"], "jump", lineno, raw)
-            exch = (
-                None
-                if fields["exch"] == "none"
-                else _parse_nat(fields["exch"], "exch", lineno, raw)
-            )
-            assert num_locations is not None and value_domain is not None
-            if loc >= num_locations:
-                raise LitmusParseError(
-                    f"location {loc} out of range (locations {num_locations})",
-                    lineno,
-                    _column_of(raw, f"loc={fields['loc']}"),
-                )
-            if cmp >= value_domain:
-                raise LitmusParseError(
-                    f"compare value {cmp} out of range (values {value_domain})",
-                    lineno,
-                    _column_of(raw, f"cmp={fields['cmp']}"),
-                )
-            if exch is not None and exch >= value_domain:
-                raise LitmusParseError(
-                    f"exchange value {exch} out of range (values {value_domain})",
-                    lineno,
-                    _column_of(raw, f"exch={fields['exch']}"),
-                )
-            threads[-1].append(AxbInstruction(loc, cmp, jump, exch))
+            key = (words[2], words[3], words[4], words[5], num_locations, value_domain)
+            ins = _DECODED.get(key)
+            if ins is None:
+                ins = _decode_instruction(words, lineno, raw, num_locations, value_domain)
+                if len(_DECODED) >= _DECODED_MAX:
+                    _DECODED.clear()
+                _DECODED[key] = ins
+            program.append(ins)
             instr_lines[-1].append(lineno)
 
     if name is None or num_locations is None or value_domain is None:
@@ -182,20 +199,27 @@ def parse_litmus(text: str) -> LitmusTest:
     return LitmusTest(name, num_locations, value_domain, tuple(tuple(p) for p in threads))
 
 
-def _format_instruction(idx: int, ins: AxbInstruction) -> str:
-    exch = "none" if ins.exch is None else str(ins.exch)
-    return f"  {idx}: axb loc={ins.loc} cmp={ins.cmp} jump={ins.jump} exch={exch}"
+def serialize_program(program: tuple[AxbInstruction, ...]) -> str:
+    """Instruction lines of one thread, each ending in a newline."""
+    return "".join(
+        f"  {idx}: axb loc={ins.loc} cmp={ins.cmp} jump={ins.jump} "
+        f"exch={'none' if ins.exch is None else ins.exch}\n"
+        for idx, ins in enumerate(program)
+    )
+
+
+def join_body(texts, num_locations: int, value_domain: int) -> str:
+    """Body text from each thread's `serialize_program` text, in thread order."""
+    return f"locations {num_locations}\nvalues {value_domain}\n" + "".join(
+        f"thread {tid}:\n{text}" for tid, text in enumerate(texts)
+    )
 
 
 def serialize_body(
     threads: tuple[tuple[AxbInstruction, ...], ...], num_locations: int, value_domain: int
 ) -> str:
     """Canonical text of a test minus its name line (used for dedup keys)."""
-    lines = [f"locations {num_locations}", f"values {value_domain}"]
-    for tid, program in enumerate(threads):
-        lines.append(f"thread {tid}:")
-        lines.extend(_format_instruction(idx, ins) for idx, ins in enumerate(program))
-    return "\n".join(lines) + "\n"
+    return join_body(map(serialize_program, threads), num_locations, value_domain)
 
 
 def serialize_litmus(test: LitmusTest) -> str:

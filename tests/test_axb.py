@@ -90,6 +90,28 @@ def test_validation_rejects(bad):
         LitmusTest("t", **bad)
 
 
+@pytest.mark.parametrize(
+    "threads, message",
+    [
+        (((I(0, 0, 1), I(1, 0, 2)),), "thread 0, instruction 1: location 1 out of range"),
+        (((I(0, 0, 1),), (I(0, 2, 1),)), "thread 1, instruction 0: compare value 2 out of range"),
+        (((I(0, 0, 1, exch=2),),), "thread 0, instruction 0: exchange value 2 out of range"),
+        (((I(0, 0, 2),),), "thread 0, instruction 0: jump target 2 out of range"),
+        (((I(0, 0, -1),),), "thread 0, instruction 0: jump target -1 out of range"),
+        (((I(0, 0, 1),), ()), "thread 1 has no instructions"),
+        # An instruction breaking several bounds reports the first of
+        # location, compare value, exchange value, jump target.
+        (((I(1, 2, 5, exch=2),),), "thread 0, instruction 0: location 1 out of range"),
+        (((I(0, 2, 5, exch=2),),), "thread 0, instruction 0: compare value 2 out of range"),
+        (((I(0, 0, 5, exch=2),),), "thread 0, instruction 0: exchange value 2 out of range"),
+    ],
+)
+def test_validation_messages_are_exact(threads, message):
+    with pytest.raises(ValueError) as err:
+        LitmusTest("t", 1, 2, threads)
+    assert str(err.value) == message
+
+
 def test_counts_and_initial_state():
     t = LitmusTest("t", 2, 2, ((I(0, 0, 1),), (I(1, 0, 0), I(1, 1, 2))))
     assert t.num_threads == 2

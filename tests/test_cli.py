@@ -202,9 +202,39 @@ def test_emit_suite(suite22, tmp_path, capsys):
 
 def test_emit_rejects_bad_instances(suite22, tmp_path):
     with pytest.raises(SystemExit) as exc:
-        main(["emit", "--suite", str(suite22), "--backend", "cuda",
+        main(["emit", "--suite", str(suite22), "--backend", "cuda", "--variant", "chunked",
               "--instances", "many", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit", "--suite", str(IDIOM_DIR), "--backend", "cuda", "--instances", "5",
+         "--out", "unused"],
+        ["emit", "--suite", str(IDIOM_DIR), "--backend", "cuda", "--instances", "auto",
+         "--out", "unused"],
+        ["simulate", "--suite", str(IDIOM_DIR), "--scheduler", "lobe-nonpreemptive",
+         "--instances", "2"],
+    ],
+)
+def test_instances_with_the_plain_layout_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--instances does not apply to the plain layout" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "unused").exists()
+
+
+def test_emit_chunked_defaults_to_auto_instances(tmp_path, capsys):
+    out = tmp_path / "kernels"
+    rc = main(["emit", "--suite", str(IDIOM_DIR), "--backend", "cuda",
+               "--variant", "chunked", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"emitted 6 artifacts to {out}\n"
 
 
 def test_simulate_writes_csv(tmp_path, capsys):

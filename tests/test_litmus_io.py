@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from progress_lab import litmus_io
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.litmus_io import (
     LitmusParseError,
@@ -112,3 +113,64 @@ def test_name_must_be_one_path_component(name):
         parse_litmus(SAMPLE.replace("test demo", f"test {name}"))
     with pytest.raises(ValueError, match="single path component"):
         LitmusTest(name, 1, 2, ((I(0, 0, 1, None),),))
+
+
+WIDE = """\
+test wide
+locations 2
+values 3
+thread 0:
+  0: axb loc=1 cmp=2 jump=1 exch=2
+"""
+
+
+@pytest.mark.parametrize(
+    "header, message, token",
+    [
+        ("locations 1\nvalues 3", "location 1 out of range (locations 1)", "loc=1"),
+        ("locations 2\nvalues 2", "compare value 2 out of range (values 2)", "cmp=2"),
+    ],
+)
+def test_cached_spelling_is_rechecked_under_a_smaller_header(header, message, token):
+    # The spelling decodes under locations 2 / values 3 first.
+    assert parse_litmus(WIDE).threads == ((I(1, 2, 1, 2),),)
+    narrow = WIDE.replace("locations 2\nvalues 3", header)
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(narrow)
+    line = narrow.splitlines()[4]
+    assert str(err.value) == f"line 5, column {line.find(token) + 1}: {message}"
+    assert (err.value.line, err.value.column) == (5, line.find(token) + 1)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("  0: nop loc=0 cmp=1 jump=0 exch=1", "line 6, column 3: expected 'IDX: axb"),
+        ("  0 axb loc=0 cmp=1 jump=0 exch=1", "line 6, column 3: expected 'IDX: axb"),
+        ("  x: axb loc=0 cmp=1 jump=0 exch=1",
+         "line 6, column 3: expected a number for instruction index, got 'x'"),
+        ("  1: axb loc=0 cmp=1 jump=0 exch=1",
+         "line 6, column 3: instruction indices must be sequential, expected 0"),
+        ("  0: axb loc=0 cmp=1 jump=0 exch=1 exch=1", "line 6, column 3: expected 'IDX: axb"),
+    ],
+)
+def test_malformed_line_raises_after_its_fields_were_cached(line, message):
+    # SAMPLE's line 6 spells these fields well-formed.
+    parse_litmus(SAMPLE)
+    bad = SAMPLE.replace("  0: axb loc=0 cmp=1 jump=0 exch=1", line)
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(bad)
+    assert str(err.value).startswith(message)
+    # Before any thread block the same fields are still out of place.
+    stray = SAMPLE.replace("thread 0:\n", "")
+    with pytest.raises(LitmusParseError, match="line 5, column 3: instruction outside"):
+        parse_litmus(stray)
+
+
+def test_decode_cache_stays_within_its_bound():
+    count = 3 * litmus_io._DECODED_MAX
+    lines = ["test many", "locations 1", f"values {count}", "thread 0:"]
+    lines += [f"  {i}: axb loc=0 cmp={i} jump={i + 1} exch={i}" for i in range(count)]
+    test = parse_litmus("\n".join(lines) + "\n")
+    assert test.threads[0][-1] == I(0, count - 1, count, count - 1)
+    assert 0 < len(litmus_io._DECODED) <= litmus_io._DECODED_MAX

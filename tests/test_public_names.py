@@ -1,6 +1,8 @@
-"""No public name without a library caller: each one is used in `src/` or exported."""
+"""No public name without a library caller: each one is used in `src/` or
+exported; and every name the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import progress_lab
@@ -36,3 +38,21 @@ def test_every_public_name_is_used_in_src_or_exported():
         if name not in loaded and name not in progress_lab.__all__
     )
     assert unused == []
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py imports only the standard library, so loading it
+    # runs nothing of the benchmark.  A target the tracer cannot find is
+    # silently left untraced, so a rename in src/ must fail here.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t[:2] for t in tracing.SPAN_TARGETS + tracing.COUNT_TARGETS]
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
