@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from conftest import GOLDEN_DIR, capped_tests
 from progress_lab.classify import classify_suite, write_report
+from progress_lab.emit import Variant, expand_layout
 from progress_lab.litmus_io import serialize_litmus
-from progress_lab.models import default_hierarchy
+from progress_lab.lts import build_monitored_lts, build_plain_lts
+from progress_lab.models import ProgressModel, default_hierarchy
+from progress_lab.oracle import check_matrix
 from progress_lab.synth import SynthConfig, synthesize
 
 CONTRACT = json.loads(GOLDEN_DIR.joinpath("contract.json").read_text(encoding="utf-8"))
@@ -57,3 +61,47 @@ def test_synthesis_outputs_are_pinned(suites):
         ).encode()
     assert len(files) == 14
     assert _digest(files) == CONTRACT["synthesis"]
+
+
+def test_lts_dumps_are_pinned(idioms):
+    """`to_dot` and `to_json` of every idiom's plain LTS, and of its
+    monitored LTS under each of the five models with fair sets."""
+    files = {}
+    for name, test in idioms.items():
+        plain = build_plain_lts(test)
+        monitored = build_monitored_lts(plain)
+        dumps = [("plain", plain, None)]
+        dumps += [(m.value, monitored, m) for m in ProgressModel if m is not ProgressModel.UNFAIR]
+        for label, lts, model in dumps:
+            files[f"{name}/{label}.dot"] = lts.to_dot(model).encode()
+            files[f"{name}/{label}.json"] = lts.to_json(model).encode()
+    assert len(files) == 72
+    assert _digest(files) == CONTRACT["lts-dump"]
+
+
+def test_check_matrix_outputs_are_pinned(idioms, suites):
+    """Every column's verdict and witness of `check_matrix` for the
+    capped (2,2), (2,3) and (3,3) suites, the idioms, and the idioms in
+    chunked and round-robin layouts of two and three instances plus the
+    chunked four-instance mutex."""
+    tests = {}
+    for bounds in ((2, 2), (2, 3), (3, 3)):
+        for i, test in enumerate(capped_tests(suites(*bounds), bounds)):
+            tests[f"{bounds[0]}x{bounds[1]}/{i}"] = test
+    for name, test in idioms.items():
+        tests[f"idiom/{name}"] = test
+        for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN):
+            for m in (2, 3):
+                tests[f"layout/{name}.{variant.value}.{m}"] = expand_layout(test, variant, m)
+    tests["layout/mutex.chunked.4"] = expand_layout(idioms["mutex"], Variant.CHUNKED, 4)
+    files = {
+        label: json.dumps(
+            {tok: asdict(v) for tok, v in check_matrix(test).items()},
+            default=sorted,
+            separators=(",", ":"),
+            sort_keys=True,
+        ).encode()
+        for label, test in tests.items()
+    }
+    assert len(files) == 1_171
+    assert _digest(files) == CONTRACT["check_matrix"]
