@@ -1,17 +1,21 @@
 """Labeled transition systems over litmus tests.
 
-Two constructions share one representation.  The plain LTS explores
-machine states only; it is the one exploration that runs `axb.step`.
-The monitored LTS is its product with the stepped-set monitor: each
-plain state paired with the set of threads that have stepped, plus the
-threads that have terminated there.  Both kinds hold machine states in
-`Lts.states`; a monitored LTS also holds each state's `SchedulerFacts`
-in `Lts.facts`, which is None for a plain one.  The monitored LTS does
-not depend on any progress model: only the fair set of a state does,
-so one monitored LTS serves every model, and `Lts.fair_sets` derives
-the fair sets of one model from the facts.  A transition's fair label
-is the fair set of its *source* state, i.e. the guarantee in force
-before the step.
+Two constructions share one representation and one breadth-first
+explorer, `_explore`, which numbers states, enforces the state budget
+and lays each state's out-edges down together, so `Lts.out[s]` is a
+contiguous range of transition ids; a state without out-edges is an
+end state.  The constructions differ only in their successor function.
+The plain LTS explores machine states only; it is the one exploration
+that runs `axb.step`.  The monitored LTS is its product with the
+stepped-set monitor: each plain state paired with the set of threads
+that have stepped, plus the threads that have terminated there.  Both
+kinds hold machine states in `Lts.states`; a monitored LTS also holds
+each state's `SchedulerFacts` in `Lts.facts`, which is None for a plain
+one.  The monitored LTS does not depend on any progress model: only the
+fair set of a state does, so one monitored LTS serves every model, and
+`Lts.fair_sets` derives the fair sets of one model from the facts.  A
+transition's fair label is the fair set of its *source* state, i.e. the
+guarantee in force before the step.
 Termination is folded into the completing step (the target state's
 facts already record it), so there are no separate termination
 transitions; cycles therefore never contain one, and the oracle treats
@@ -48,8 +52,9 @@ class Lts:
 
     `states[i]` is the machine state of state i.  `facts[i]` is its
     scheduler facts in a monitored LTS; `facts` is None in a plain one.
-    State numbering is breadth-first discovery order with threads
-    explored in ascending id, so it is deterministic.
+    `out[i]` is the range of ids of state i's transitions, in ascending
+    thread id.  State numbering is breadth-first discovery order with
+    threads explored in ascending id, so it is deterministic.
     """
 
     def __init__(
@@ -57,18 +62,16 @@ class Lts:
         test: LitmusTest,
         states: list[MachineState],
         transitions: list[Transition],
-        end_states: list[int],
+        out: list[range],
         facts: list[SchedulerFacts] | None = None,
     ):
         self.test = test
         self.states = states
         self.facts = facts
         self.transitions = transitions
-        self.end_states = end_states
+        self.out = out
+        self.end_states = [s for s, edges in enumerate(out) if not edges]
         self.initial = 0
-        self.out: list[list[int]] = [[] for _ in states]
-        for idx, tr in enumerate(transitions):
-            self.out[tr.src].append(idx)
 
     def fair_sets(self, model: ProgressModel) -> list[frozenset[int]]:
         """The fair set of every state under `model`, indexed by state id.
@@ -153,38 +156,45 @@ class Lts:
         return json.dumps(self.to_json_dict(model), indent=2, sort_keys=True) + "\n"
 
 
-def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
-    """Breadth-first closure of `step` over all enabled threads."""
-    initial = test.initial_state()
-    index: dict[MachineState, int] = {initial: 0}
-    states: list[MachineState] = [initial]
+def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
+    """Breadth-first closure of `successors` from `root`.
+
+    `successors(key)` yields `(key', tid, instr)` in ascending thread id.
+    Returns the keys in discovery order, the transitions grouped by
+    source, and each key's range of transition ids.
+    """
+    index = {root: 0}
+    keys = [root]
     transitions: list[Transition] = []
-    end_states: list[int] = []
-    frontier = 0
-    while frontier < len(states):
-        src = frontier
-        frontier += 1
-        state = states[src]
-        enabled = enabled_threads(test, state)
-        if not enabled:
-            # Always-enabled semantics: only full termination disables a test.
-            end_states.append(src)
-            continue
-        for tid in enabled:
-            succ = step(test, state, tid)
+    out: list[range] = []
+    for src, key in enumerate(keys):
+        first = len(transitions)
+        for succ, tid, instr in successors(key):
             dst = index.get(succ)
             if dst is None:
-                if len(states) >= max_states:
+                if len(keys) >= max_states:
                     raise ExplorationLimitError(
-                        f"plain LTS of {test.name!r} exceeds {max_states} states"
+                        f"{kind} LTS of {test.name!r} exceeds {max_states} states"
                     )
-                dst = len(states)
-                index[succ] = dst
-                states.append(succ)
-            transitions.append(
-                Transition(src, dst, tid, test.threads[tid][state.pcs[tid]])
-            )
-    return Lts(test, states, transitions, end_states)
+                dst = index[succ] = len(keys)
+                keys.append(succ)
+            transitions.append(Transition(src, dst, tid, instr))
+        out.append(range(first, len(transitions)))
+    return keys, transitions, out
+
+
+def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
+    """Breadth-first closure of `step` over all enabled threads.
+
+    Always-enabled semantics: only full termination disables a test.
+    """
+
+    def successors(state: MachineState):
+        for tid in enabled_threads(test, state):
+            yield step(test, state, tid), tid, test.threads[tid][state.pcs[tid]]
+
+    states, transitions, out = _explore(test, "plain", test.initial_state(), successors, max_states)
+    return Lts(test, states, transitions, out)
 
 
 def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts:
@@ -199,8 +209,9 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
     terminated once its pc is past its program, a function of the plain
     state alone.  Each product state reuses its plain state's
     `MachineState` and records its facts in the parallel `facts` list.
-    The search is breadth-first with successors in the plain LTS's order
-    (ascending thread id), so numbering is deterministic.
+    Successors follow the plain LTS's order (ascending thread id), so
+    numbering is deterministic.  A pair over a plain end state has no
+    successors, which makes it an end state.
     """
     test = plain.test
     n = test.num_threads
@@ -208,31 +219,17 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
     terminated = [
         frozenset(t for t in range(n) if m.pcs[t] >= lengths[t]) for m in plain.states
     ]
-    ends = set(plain.end_states)
-    pairs: list[tuple[int, frozenset[int]]] = [(0, frozenset())]
-    index = {pairs[0]: 0}
-    transitions: list[Transition] = []
-    end_states: list[int] = []
-    for src, (p, stepped) in enumerate(pairs):
-        if p in ends:
-            end_states.append(src)
-            continue
+
+    def successors(pair: tuple[int, frozenset[int]]):
+        p, stepped = pair
         for ti in plain.out[p]:
             tr = plain.transitions[ti]
-            key = (tr.dst, stepped | {tr.tid})
-            dst = index.get(key)
-            if dst is None:
-                if len(pairs) >= max_states:
-                    raise ExplorationLimitError(
-                        f"monitored LTS of {test.name!r} exceeds {max_states} states"
-                    )
-                dst = len(pairs)
-                index[key] = dst
-                pairs.append(key)
-            transitions.append(Transition(src, dst, tr.tid, tr.instr))
+            yield (tr.dst, stepped | {tr.tid}), tr.tid, tr.instr
+
+    pairs, transitions, out = _explore(test, "monitored", (0, frozenset()), successors, max_states)
     states = [plain.states[p] for p, _ in pairs]
     facts = [SchedulerFacts(stepped, terminated[p], n) for p, stepped in pairs]
-    return Lts(test, states, transitions, end_states, facts)
+    return Lts(test, states, transitions, out, facts)
 
 
 @dataclass(frozen=True, slots=True)

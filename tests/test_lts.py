@@ -45,13 +45,6 @@ def test_initial_state_is_index_zero(idioms):
     assert lts.states[0] == idioms["mutex"].initial_state()
 
 
-def test_out_edges_index_transitions(idioms):
-    lts = build_plain_lts(idioms["dining"])
-    for si, edges in enumerate(lts.out):
-        for ti in edges:
-            assert lts.transitions[ti].src == si
-
-
 def test_transition_labels_replay(idioms):
     from progress_lab.axb import step
 
@@ -110,6 +103,48 @@ def test_exploration_limit():
     with pytest.raises(ExplorationLimitError, match="monitored"):
         build_monitored_lts(plain, max_states=len(mon) - 1)
     assert len(build_monitored_lts(plain, max_states=len(mon))) == len(mon)
+
+
+def both_kinds(test):
+    plain = build_plain_lts(test)
+    return {"plain": plain, "monitored": build_monitored_lts(plain)}
+
+
+def test_out_edges_index_transitions(idioms):
+    """Each state's out-edges are one contiguous run of transition ids,
+    in ascending thread id, for every idiom and both LTS kinds."""
+    for name, test in idioms.items():
+        for kind, lts in both_kinds(test).items():
+            assert len(lts.out) == len(lts)
+            assert [ti for edges in lts.out for ti in edges] == list(range(len(lts.transitions)))
+            for si, edges in enumerate(lts.out):
+                assert all(lts.transitions[ti].src == si for ti in edges), (name, kind)
+                tids = [lts.transitions[ti].tid for ti in edges]
+                assert tids == sorted(set(tids)), (name, kind, si)
+
+
+def test_end_states_are_the_states_without_out_edges(idioms):
+    for name, test in idioms.items():
+        for kind, lts in both_kinds(test).items():
+            sources = {tr.src for tr in lts.transitions}
+            assert lts.end_states == [s for s in range(len(lts)) if s not in sources], (name, kind)
+            lengths = [len(p) for p in test.threads]
+            for s in lts.end_states:
+                assert all(pc >= n for pc, n in zip(lts.states[s].pcs, lengths)), (name, kind)
+
+
+def test_state_budget_exact_fit_and_message(idioms):
+    for name, test in idioms.items():
+        lts = both_kinds(test)
+        build = {
+            "plain": lambda cap: build_plain_lts(test, max_states=cap),
+            "monitored": lambda cap: build_monitored_lts(lts["plain"], max_states=cap),
+        }
+        for kind, full in lts.items():
+            assert len(build[kind](len(full))) == len(full)
+            with pytest.raises(ExplorationLimitError) as err:
+                build[kind](len(full) - 1)
+            assert str(err.value) == f"{kind} LTS of {name!r} exceeds {len(full) - 1} states"
 
 
 def test_fair_set_constant_within_scc(idioms):
