@@ -47,15 +47,17 @@ def _column_of(raw_line: str, token: str) -> int:
 
 
 def _parse_nat(token: str, what: str, lineno: int, raw: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise LitmusParseError(
-            f"expected a number for {what}, got {token!r}", lineno, _column_of(raw, token)
-        ) from None
-    if value < 0:
+    """ASCII digits only: `int` alone also takes signs, `_` and other scripts' digits."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    elif token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
         raise LitmusParseError(f"{what} must be non-negative", lineno, _column_of(raw, token))
-    return value
+    raise LitmusParseError(
+        f"expected a number for {what}, got {token!r}", lineno, _column_of(raw, token)
+    )
 
 
 _FIELD_ORDER = ("loc", "cmp", "jump", "exch")

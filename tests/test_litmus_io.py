@@ -94,6 +94,38 @@ def test_error_carries_position():
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("locations 2", "locations 1_0",
+         "line 3, column 11: expected a number for locations, got '1_0'"),
+        ("values 2", "values +2", "line 4, column 8: expected a number for values, got '+2'"),
+        ("values 2", "values \uff12",
+         "line 4, column 8: expected a number for values, got '\uff12'"),
+        ("thread 1:", "thread \u0661:",
+         "line 8, column 8: expected a number for thread id, got '\u0661'"),
+        ("  1: axb loc=1", "  +1: axb loc=1",
+         "line 7, column 3: expected a number for instruction index, got '+1'"),
+        ("  1: axb loc=1", "  1: axb loc=\u0661",
+         "line 7, column 14: expected a number for loc, got '\u0661'"),
+        ("locations 2", "locations -1", "line 3, column 11: locations must be non-negative"),
+        ("locations 2", "locations -0", "line 3, column 11: locations must be non-negative"),
+        ("  1: axb", "  -1: axb", "line 7, column 3: instruction index must be non-negative"),
+        ("cmp=0 jump=2", "cmp=-x jump=2", "line 7, column 20: expected a number for cmp, got '-x'"),
+    ],
+)
+def test_numbers_are_ascii_digits_only(old, new, message):
+    assert old in SAMPLE
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(SAMPLE.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_overlong_number_is_a_parse_error():
+    with pytest.raises(LitmusParseError, match="line 4, column 8: expected a number for values"):
+        parse_litmus(SAMPLE.replace("values 2", "values " + "1" * 5000))
+
+
 def test_exch_none_token():
     t = parse_litmus(SAMPLE)
     assert t.threads[0][1].exch is None
