@@ -323,25 +323,14 @@ def _relabel_locations(threads, perm) -> tuple[tuple[AxbInstruction, ...], ...]:
     )
 
 
-def canonicalize(test: LitmusTest, symmetry_reduction: bool = False) -> str:
-    """Canonical body text; the name never participates.
-
-    With symmetry reduction the minimum over all location relabelings is
-    taken, so location-swapped twins collapse.
-    """
-    best = serialize_body(test.threads, test.num_locations, test.value_domain)
-    if symmetry_reduction:
-        # The first permutation is the identity, serialized above.
-        perms = itertools.permutations(range(test.num_locations))
-        for perm in itertools.islice(perms, 1, None):
-            body = serialize_body(
-                _relabel_locations(test.threads, perm),
-                test.num_locations,
-                test.value_domain,
-            )
-            if body < best:
-                best = body
-    return best
+def canonicalize(test: LitmusTest) -> str:
+    """The least body text over all location relabelings, so
+    location-swapped twins collapse; the name never participates."""
+    nl, vd = test.num_locations, test.value_domain
+    return min(
+        serialize_body(_relabel_locations(test.threads, perm), nl, vd)
+        for perm in itertools.permutations(range(nl))
+    )
 
 
 def _representatives(comp, counts, lo, hi):
@@ -439,7 +428,7 @@ def _span_worker(args):
         for order in _thread_orders(comp, idx):
             if config.symmetry_reduction:
                 test = LitmusTest("candidate", nl, vd, tuple(cand[k][0] for k in order))
-                body = canonicalize(test, True)
+                body = canonicalize(test)
             else:
                 body = join_body([cand[k][3] for k in order], nl, vd)
             if body in accepted:

@@ -56,10 +56,9 @@ def body_renamings(test):
     out = set()
     for order in itertools.permutations(range(test.num_threads)):
         reordered = replace(test, threads=tuple(test.threads[i] for i in order))
-        plain = canonicalize(reordered)
-        out.add(plain)
-        out.add(canonicalize(reordered, symmetry_reduction=True))
-        # symmetry_reduction only yields the minimum; add the swaps too
+        out.add(serialize_body(reordered.threads, test.num_locations, test.value_domain))
+        out.add(canonicalize(reordered))
+        # canonicalize only yields the minimum; add the swaps too
         for perm in itertools.permutations(range(test.num_locations)):
             swapped = tuple(
                 tuple(AxbInstruction(perm[i.loc], i.cmp, i.jump, i.exch) for i in prog)
@@ -118,7 +117,9 @@ def test_check_3_synthesis_recall(idioms, suites):
         start = time.perf_counter()
         result = suites(*bounds)
         timings[bounds] = time.perf_counter() - start
-        bodies[bounds] = {canonicalize(t) for t in result.tests}
+        bodies[bounds] = {
+            serialize_body(t.threads, t.num_locations, t.value_domain) for t in result.tests
+        }
 
     def found(bounds, name):
         return bool(body_renamings(idioms[name]) & bodies[bounds])
@@ -149,7 +150,7 @@ def test_check_4_enumerator_equivalence(suites):
     # exact programs collapsed by location renaming only (10) and by
     # location plus thread renaming (5), i.e. a partial symmetry policy.
     result22 = suites(2, 2)
-    loc_orbits = {canonicalize(t, symmetry_reduction=True) for t in result22.tests}
+    loc_orbits = {canonicalize(t) for t in result22.tests}
     full_orbits = {min(body_renamings(t)) for t in result22.tests}
     assert len(loc_orbits) == 10
     assert len(full_orbits) == 5
