@@ -118,9 +118,17 @@ def test_determinism(small):
 def test_parallel_equals_serial(suites):
     # (3,3) is the first bound with three equal-length threads, so an
     # orbit representative's nondecreasing program indices span slices.
-    for bounds in ((2, 2), (2, 3), (3, 3)):
-        serial = suites(*bounds)
-        par = synthesize(SynthConfig(*bounds, jobs=2))
+    # With symmetry reduction, location-relabeled twins land in different
+    # workers, so duplicates are found across them.
+    runs = [
+        (suites(*bounds), SynthConfig(*bounds, jobs=2))
+        for bounds in ((2, 2), (2, 3), (3, 3))
+    ]
+    for bounds in ((2, 3), (3, 3)):
+        serial = synthesize(SynthConfig(*bounds, symmetry_reduction=True))
+        runs.append((serial, SynthConfig(*bounds, symmetry_reduction=True, jobs=2)))
+    for serial, config in runs:
+        par = synthesize(config)
         assert [t.threads for t in par.tests] == [t.threads for t in serial.tests]
         assert par.lts_sizes == serial.lts_sizes
         counters = [r.stats.to_json_dict() for r in (par, serial)]
@@ -128,6 +136,18 @@ def test_parallel_equals_serial(suites):
             del c["elapsed_seconds"]
         assert counters[0] == counters[1]
         assert 0 < serial.stats.explored < serial.stats.candidates
+        if config.symmetry_reduction:
+            assert serial.stats.duplicates > 0
+
+
+def test_every_candidate_is_rejected_kept_or_a_duplicate(suites):
+    runs = [suites(*bounds) for bounds in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))]
+    runs += [
+        synthesize(SynthConfig(*bounds, symmetry_reduction=True)) for bounds in ((2, 3), (3, 3))
+    ]
+    for result in runs:
+        stats = result.stats
+        assert stats.candidates - sum(stats.rejected.values()) == stats.unique + stats.duplicates
 
 
 def test_size_caps_reject_and_match_filtering(small):
