@@ -40,7 +40,9 @@ same, and so are both syntactic prefilters.  The representative has a
 nonincreasing composition and nondecreasing program indices within each
 run of equal thread lengths; its verdict counts once per permutation,
 and an accepted one is expanded into every distinct permutation before
-dedup.  Putting the longest thread first gives `jobs > 1` the most
+dedup.  Each permutation gives one body, so no worker counts duplicates:
+they are the candidates left over after the rejections and the unique
+tests.  Putting the longest thread first gives `jobs > 1` the most
 first-thread programs to slice, and when that length is unique in the
 composition every slice holds equally many orbits.  The suite stays
 thread-distinct, since thread ids decide the OBE, LOBE and HSA verdicts;
@@ -124,14 +126,12 @@ class SynthResult:
 
 
 def compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All ordered splits of `total` into `parts` positive summands."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    """All ordered splits of `total` into `parts` positive summands, in
+    lexicographic order (that of their cut points)."""
+    return [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+        for cuts in itertools.combinations(range(1, total), parts - 1)
+    ]
 
 
 def _instruction_options(
@@ -229,6 +229,11 @@ def _check_candidate(
     """Full semantic check of one candidate from `_tables` entries.
 
     Returns (rejection reason or None, plain-LTS states, plain-LTS actions).
+    Both backward passes run over one reverse adjacency: co-reachability
+    of the ends, then a peel from the ends that removes a state once all
+    its out-edges lead to removed states.  A state left over has a
+    successor left over, so the graph has a cycle exactly when the peel
+    leaves a state.
 
     No influence search is needed here.  Suppose no real branch ever
     reads a value last written by another thread.  Then every branch
@@ -247,16 +252,17 @@ def _check_candidate(
     seen = {0}
     stack = [0]
     edges: list[tuple[int, int]] = []
+    outdeg: dict[int, int] = {}
     ends = []
     while stack:
         s = stack.pop()
         mem = s % vl
-        done = True
+        deg = 0
         for mult, radix, rows in threads:
             row = rows[s // mult % radix]
             if row is None:
                 continue
-            done = False
+            deg += 1
             d, bit = row[mem]
             ns = s + d
             covered |= bit
@@ -264,7 +270,8 @@ def _check_candidate(
             if ns not in seen:
                 seen.add(ns)
                 stack.append(ns)
-        if done:
+        outdeg[s] = deg
+        if not deg:
             ends.append(s)
     n_states = len(seen)
     n_actions = len(edges)
@@ -288,21 +295,15 @@ def _check_candidate(
     if len(reach) != n_states:
         return "end_not_reachable_everywhere", n_states, n_actions
 
-    # Acyclic iff the whole graph peels off at indegree zero.
-    indeg = dict.fromkeys(seen, 0)
-    out: dict[int, list[int]] = {}
-    for src, dst in edges:
-        indeg[dst] += 1
-        out.setdefault(src, []).append(dst)
-    peel = [x for x, d in indeg.items() if d == 0]
+    peel = ends
     removed = 0
     while peel:
         x = peel.pop()
         removed += 1
-        for y in out.get(x, ()):
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                peel.append(y)
+        for p in rev.get(x, ()):
+            outdeg[p] -= 1
+            if outdeg[p] == 0:
+                peel.append(p)
     if removed == n_states:
         return "no_nontermination_cycle", n_states, n_actions
 
@@ -358,10 +359,8 @@ def _orbit_size(comp, idx) -> int:
     over the factorial of each run of equal (length, program index),
     which sit next to each other in a representative."""
     size = math.factorial(len(comp))
-    run = 1
-    for k in range(1, len(comp)):
-        run = run + 1 if comp[k] == comp[k - 1] and idx[k] == idx[k - 1] else 1
-        size //= run
+    for _, run in itertools.groupby(zip(comp, idx)):
+        size //= math.factorial(len(list(run)))
     return size
 
 
@@ -377,7 +376,8 @@ def _span_worker(args):
     falls in a slice, crediting its verdict to the whole orbit.
 
     Returns (candidate count, rejection counters, {canonical body:
-    (states, actions)}, local duplicate count, `_check_candidate` calls).
+    (states, actions)}, `_check_candidate` calls).  Duplicates are not
+    counted here: `synthesize` derives them from the counters.
     """
     config, comp, lo, hi = args
     nl, vd = config.num_locations, config.value_domain
@@ -385,7 +385,6 @@ def _span_worker(args):
 
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     accepted: dict[str, tuple[int, int]] = {}
-    dup = 0
     candidates = 0
     explored = 0
     # Only threads of equal length can hold the same program, so without
@@ -431,11 +430,8 @@ def _span_worker(args):
                 body = canonicalize(test)
             else:
                 body = join_body([cand[k][3] for k in order], nl, vd)
-            if body in accepted:
-                dup += 1
-            else:
-                accepted[body] = (n_states, n_actions)
-    return candidates, rejected, accepted, dup, explored
+            accepted.setdefault(body, (n_states, n_actions))
+    return candidates, rejected, accepted, explored
 
 
 def synthesize(config: SynthConfig) -> SynthResult:
@@ -455,12 +451,9 @@ def synthesize(config: SynthConfig) -> SynthResult:
             len(_instruction_options(comp[0], i, config.num_locations, config.value_domain))
             for i in range(comp[0])
         )
-        if config.jobs == 1:
-            tasks.append((config, comp, 0, total_first))
-        else:
-            span = max(1, -(-total_first // (config.jobs * 4)))
-            for lo in range(0, total_first, span):
-                tasks.append((config, comp, lo, min(lo + span, total_first)))
+        span = total_first if config.jobs == 1 else -(-total_first // (4 * config.jobs))
+        for lo in range(0, total_first, span):
+            tasks.append((config, comp, lo, min(lo + span, total_first)))
 
     if config.jobs == 1:
         outcomes = [_span_worker(t) for t in tasks]
@@ -472,18 +465,13 @@ def synthesize(config: SynthConfig) -> SynthResult:
     explored = 0
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     merged: dict[str, tuple[int, int]] = {}
-    duplicates = 0
-    for cand, rej, accepted, dup, checked in outcomes:
+    for cand, rej, accepted, checked in outcomes:
         candidates += cand
         explored += checked
-        duplicates += dup
         for k, c in rej.items():
             rejected[k] += c
         for body, size in accepted.items():
-            if body in merged:
-                duplicates += 1
-            else:
-                merged[body] = size
+            merged.setdefault(body, size)
 
     bodies = sorted(merged)
     width = max(3, len(str(max(len(bodies) - 1, 0))))
@@ -496,7 +484,9 @@ def synthesize(config: SynthConfig) -> SynthResult:
         candidates=candidates,
         explored=explored,
         rejected=rejected,
-        duplicates=duplicates,
+        # Every accepted candidate is one thread order of its orbit, so
+        # it gave one body: a unique test or a duplicate.
+        duplicates=candidates - sum(rejected.values()) - len(tests),
         unique=len(tests),
         elapsed_seconds=time.perf_counter() - t0,
     )

@@ -31,6 +31,9 @@ def test_compositions():
     assert compositions(4, 2) == [(1, 3), (2, 2), (3, 1)]
     assert compositions(3, 3) == [(1, 1, 1)]
     assert compositions(3, 1) == [(3,)]
+    assert compositions(5, 3) == [
+        (1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1),
+    ]
 
 
 def test_config_validation():
