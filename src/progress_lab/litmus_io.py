@@ -29,6 +29,8 @@ positions do not depend on what was parsed before.
 
 from __future__ import annotations
 
+import re
+
 from .axb import AxbInstruction, LitmusTest
 
 
@@ -41,22 +43,24 @@ class LitmusParseError(ValueError):
         self.column = column
 
 
-def _column_of(raw_line: str, token: str) -> int:
-    pos = raw_line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _column(raw: str, word: int, shift: int = 0) -> int:
+    """1-based column `shift` characters into the `word`-th word of `raw`
+    (words as `str.split` finds them); only errors need it."""
+    return [m.start() for m in re.finditer(r"\S+", raw)][word] + 1 + shift
 
 
-def _parse_nat(token: str, what: str, lineno: int, raw: str) -> int:
-    """ASCII digits only: `int` alone also takes signs, `_` and other scripts' digits."""
+def _parse_nat(token: str, what: str, lineno: int, raw: str, word: int, shift: int = 0) -> int:
+    """ASCII digits only: `int` alone also takes signs, `_` and other scripts' digits.
+    `token` sits `shift` characters into word `word` of `raw`."""
     if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than the interpreter converts
             pass
     elif token[:1] == "-" and token[1:].isascii() and token[1:].isdigit():
-        raise LitmusParseError(f"{what} must be non-negative", lineno, _column_of(raw, token))
+        raise LitmusParseError(f"{what} must be non-negative", lineno, _column(raw, word, shift))
     raise LitmusParseError(
-        f"expected a number for {what}, got {token!r}", lineno, _column_of(raw, token)
+        f"expected a number for {what}, got {token!r}", lineno, _column(raw, word, shift)
     )
 
 
@@ -72,40 +76,35 @@ def _decode_instruction(
     words: list[str], lineno: int, raw: str, num_locations: int, value_domain: int
 ) -> AxbInstruction:
     """The instruction of one `IDX: axb ...` line, range-checked."""
-    fields: dict[str, str] = {}
-    for word in words[2:]:
+    fields: dict[str, tuple[int, str]] = {}  # key -> (word index, value)
+    for i, word in enumerate(words[2:], start=2):
         key, eq, value = word.partition("=")
         if not eq or key not in _FIELD_ORDER:
-            raise LitmusParseError(f"unknown field {word!r}", lineno, _column_of(raw, word))
+            raise LitmusParseError(f"unknown field {word!r}", lineno, _column(raw, i))
         if key in fields:
-            raise LitmusParseError(f"duplicate field {key!r}", lineno, _column_of(raw, word))
-        fields[key] = value
+            raise LitmusParseError(f"duplicate field {key!r}", lineno, _column(raw, i))
+        fields[key] = (i, value)
     for key in _FIELD_ORDER:
         if key not in fields:
             raise LitmusParseError(f"missing field {key!r}", lineno)
 
-    loc = _parse_nat(fields["loc"], "loc", lineno, raw)
-    cmp = _parse_nat(fields["cmp"], "cmp", lineno, raw)
-    jump = _parse_nat(fields["jump"], "jump", lineno, raw)
-    exch = None if fields["exch"] == "none" else _parse_nat(fields["exch"], "exch", lineno, raw)
-    if loc >= num_locations:
-        raise LitmusParseError(
-            f"location {loc} out of range (locations {num_locations})",
-            lineno,
-            _column_of(raw, f"loc={fields['loc']}"),
-        )
-    if cmp >= value_domain:
-        raise LitmusParseError(
-            f"compare value {cmp} out of range (values {value_domain})",
-            lineno,
-            _column_of(raw, f"cmp={fields['cmp']}"),
-        )
-    if exch is not None and exch >= value_domain:
-        raise LitmusParseError(
-            f"exchange value {exch} out of range (values {value_domain})",
-            lineno,
-            _column_of(raw, f"exch={fields['exch']}"),
-        )
+    def number(key: str) -> int:
+        i, value = fields[key]
+        return _parse_nat(value, key, lineno, raw, i, len(key) + 1)
+
+    loc = number("loc")
+    cmp = number("cmp")
+    jump = number("jump")
+    exch = None if fields["exch"][1] == "none" else number("exch")
+    for key, n, what, bound, header in (
+        ("loc", loc, "location", num_locations, "locations"),
+        ("cmp", cmp, "compare value", value_domain, "values"),
+        ("exch", exch, "exchange value", value_domain, "values"),
+    ):
+        if n is not None and n >= bound:
+            raise LitmusParseError(
+                f"{what} {n} out of range ({header} {bound})", lineno, _column(raw, fields[key][0])
+            )
     return AxbInstruction(loc, cmp, jump, exch)
 
 
@@ -128,28 +127,28 @@ def parse_litmus(text: str) -> LitmusTest:
 
         if phase == "test":
             if words[0] != "test" or len(words) != 2:
-                raise LitmusParseError("expected 'test NAME'", lineno, _column_of(raw, words[0]))
+                raise LitmusParseError("expected 'test NAME'", lineno, _column(raw, 0))
             name = words[1]
             phase = "locations"
         elif phase == "locations":
             if words[0] != "locations" or len(words) != 2:
-                raise LitmusParseError("expected 'locations N'", lineno, _column_of(raw, words[0]))
-            num_locations = _parse_nat(words[1], "locations", lineno, raw)
+                raise LitmusParseError("expected 'locations N'", lineno, _column(raw, 0))
+            num_locations = _parse_nat(words[1], "locations", lineno, raw, 1)
             phase = "values"
         elif phase == "values":
             if words[0] != "values" or len(words) != 2:
-                raise LitmusParseError("expected 'values N'", lineno, _column_of(raw, words[0]))
-            value_domain = _parse_nat(words[1], "values", lineno, raw)
+                raise LitmusParseError("expected 'values N'", lineno, _column(raw, 0))
+            value_domain = _parse_nat(words[1], "values", lineno, raw, 1)
             phase = "threads"
         elif words[0] == "thread":
             if len(words) != 2 or not words[1].endswith(":"):
-                raise LitmusParseError("expected 'thread N:'", lineno, _column_of(raw, words[0]))
-            tid = _parse_nat(words[1][:-1], "thread id", lineno, raw)
+                raise LitmusParseError("expected 'thread N:'", lineno, _column(raw, 0))
+            tid = _parse_nat(words[1][:-1], "thread id", lineno, raw, 1)
             if tid != len(threads):
                 raise LitmusParseError(
                     f"thread ids must be sequential, expected {len(threads)}",
                     lineno,
-                    _column_of(raw, words[1]),
+                    _column(raw, 1),
                 )
             threads.append([])
             thread_lines.append(lineno)
@@ -157,21 +156,21 @@ def parse_litmus(text: str) -> LitmusTest:
         else:
             if not threads:
                 raise LitmusParseError(
-                    "instruction outside a thread block", lineno, _column_of(raw, words[0])
+                    "instruction outside a thread block", lineno, _column(raw, 0)
                 )
             if len(words) != 6 or not words[0].endswith(":") or words[1] != "axb":
                 raise LitmusParseError(
                     "expected 'IDX: axb loc=L cmp=V jump=J exch=E'",
                     lineno,
-                    _column_of(raw, words[0]),
+                    _column(raw, 0),
                 )
             program = threads[-1]
-            idx = _parse_nat(words[0][:-1], "instruction index", lineno, raw)
+            idx = _parse_nat(words[0][:-1], "instruction index", lineno, raw, 0)
             if idx != len(program):
                 raise LitmusParseError(
                     f"instruction indices must be sequential, expected {len(program)}",
                     lineno,
-                    _column_of(raw, words[0]),
+                    _column(raw, 0),
                 )
             key = (words[2], words[3], words[4], words[5], num_locations, value_domain)
             ins = _DECODED.get(key)

@@ -121,6 +121,25 @@ def test_numbers_are_ascii_digits_only(old, new, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("exch=1", "exch=a", "line 6, column 34: expected a number for exch, got 'a'"),
+        ("exch=1", "exch=", "line 6, column 34: expected a number for exch, got ''"),
+        ("values 2", "values a", "line 4, column 8: expected a number for values, got 'a'"),
+        ("locations 2", "locations o",
+         "line 3, column 11: expected a number for locations, got 'o'"),
+        ("thread 1:", "thread a:", "line 8, column 8: expected a number for thread id, got 'a'"),
+    ],
+)
+def test_error_column_is_that_of_the_named_word(old, new, message):
+    # The bad text also occurs earlier on its line, or not at all.
+    assert SAMPLE.count(old) == 1
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(SAMPLE.replace(old, new))
+    assert str(err.value) == message
+
+
 def test_overlong_number_is_a_parse_error():
     with pytest.raises(LitmusParseError, match="line 4, column 8: expected a number for values"):
         parse_litmus(SAMPLE.replace("values 2", "values " + "1" * 5000))
