@@ -51,6 +51,7 @@ only the checking work shrinks.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -252,17 +253,16 @@ def _check_candidate(
     seen = {0}
     stack = [0]
     edges: list[tuple[int, int]] = []
-    outdeg: dict[int, int] = {}
     ends = []
     while stack:
         s = stack.pop()
         mem = s % vl
-        deg = 0
+        done = True
         for mult, radix, rows in threads:
             row = rows[s // mult % radix]
             if row is None:
                 continue
-            deg += 1
+            done = False
             d, bit = row[mem]
             ns = s + d
             covered |= bit
@@ -270,8 +270,7 @@ def _check_candidate(
             if ns not in seen:
                 seen.add(ns)
                 stack.append(ns)
-        outdeg[s] = deg
-        if not deg:
+        if done:
             ends.append(s)
     n_states = len(seen)
     n_actions = len(edges)
@@ -295,6 +294,7 @@ def _check_candidate(
     if len(reach) != n_states:
         return "end_not_reachable_everywhere", n_states, n_actions
 
+    outdeg = collections.Counter(map(operator.itemgetter(0), edges))
     peel = ends
     removed = 0
     while peel:
@@ -359,8 +359,10 @@ def _orbit_size(comp, idx) -> int:
     over the factorial of each run of equal (length, program index),
     which sit next to each other in a representative."""
     size = math.factorial(len(comp))
-    for _, run in itertools.groupby(zip(comp, idx)):
-        size //= math.factorial(len(list(run)))
+    run = 1
+    for k in range(1, len(comp)):
+        run = run + 1 if comp[k] == comp[k - 1] and idx[k] == idx[k - 1] else 1
+        size //= run
     return size
 
 
