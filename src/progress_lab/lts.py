@@ -76,12 +76,21 @@ class Lts:
     def fair_sets(self, model: ProgressModel) -> list[frozenset[int]]:
         """The fair set of every state under `model`, indexed by state id.
 
-        `fair_set` memoizes its results, so states sharing their facts
-        share one fair set.
+        States sharing their stepped and terminated sets share one fair
+        set, so `fair_set` runs once per distinct pair, not once per state
+        or transition.
         """
         if self.facts is None:
             raise ValueError("a plain LTS carries no scheduler facts")
-        return [fair_set(model, facts) for facts in self.facts]
+        by_facts: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
+        out = []
+        for facts in self.facts:
+            key = (facts.stepped, facts.terminated)
+            fair = by_facts.get(key)
+            if fair is None:
+                fair = by_facts[key] = fair_set(model, facts)
+            out.append(fair)
+        return out
 
     def __len__(self) -> int:
         return len(self.states)

@@ -15,7 +15,6 @@ other's; unfair, which has no flavor, is below every other variant.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,10 +63,8 @@ class SchedulerFacts:
             raise ValueError("terminated threads must have stepped")
 
 
-@functools.lru_cache(maxsize=4096)
 def fair_set(model: ProgressModel, facts: SchedulerFacts) -> frozenset[int]:
-    """Threads guaranteed eventual execution under `model`, given `facts`
-    (memoized: the states of a monitored LTS share few distinct facts)."""
+    """Threads guaranteed eventual execution under `model`, given `facts`."""
     alive = frozenset(range(facts.num_threads)) - facts.terminated
     if model is ProgressModel.UNFAIR:
         return frozenset()
