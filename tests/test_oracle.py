@@ -1,12 +1,14 @@
 """Verdicts, witnesses, and agreement with the naive reference oracles."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
 from conftest import IDIOM_PASSES
-from progress_lab.axb import AxbInstruction, LitmusTest
+from progress_lab.axb import AxbInstruction, LitmusTest, MachineState
 from progress_lab.lts import ExplorationLimitError
 from progress_lab.models import (
     UNFAIR_VARIANT,
@@ -16,6 +18,7 @@ from progress_lab.models import (
     variant_token,
 )
 from progress_lab.oracle import Verdict, WitnessKind, check_matrix, format_witness
+from progress_lab.synth import _relabel_locations
 from strategies import litmus_tests
 
 I = AxbInstruction
@@ -190,6 +193,48 @@ def test_matrix_agrees_with_naive_on_capped_suites(suites):
                 assert matrix[token].passed == (not fails), (bounds, test.name, token)
                 if bounds == (3, 3) and fails:
                     naive.replay_witness(test, matrix[token].witness)
+
+
+def _relabeled_witness(witness, perm):
+    """`witness` as its test's location relabeling `perm` reports it:
+    every step's instruction location and the stuck memory permuted."""
+
+    def step(s):
+        return replace(s, instr=replace(s.instr, loc=perm[s.instr.loc]))
+
+    stuck = witness.stuck_machine
+    if stuck is not None:
+        memory = [0] * len(stuck.memory)
+        for loc, value in enumerate(stuck.memory):
+            memory[perm[loc]] = value
+        stuck = MachineState(tuple(memory), stuck.pcs)
+    return replace(
+        witness,
+        path=tuple(map(step, witness.path)),
+        cycle=tuple(map(step, witness.cycle)),
+        stuck_machine=stuck,
+    )
+
+
+def test_location_twins_get_the_same_verdicts_and_witnesses(suites):
+    """Relabeling locations maps the plain and monitored LTS onto
+    isomorphic ones with the same state numbering: memory starts all
+    zero and fair sets depend only on threads.  So every column matches,
+    and each fail witness maps through the relabeling."""
+    from conftest import capped_tests
+
+    pairs = 0
+    for bounds in ((2, 3), (3, 3)):
+        for test in capped_tests(suites(*bounds), bounds):
+            perm = tuple(reversed(range(test.num_locations)))
+            twin = replace(test, threads=_relabel_locations(test.threads, perm))
+            expected = {
+                tok: v if v.passed else replace(v, witness=_relabeled_witness(v.witness, perm))
+                for tok, v in check_matrix(test).items()
+            }
+            assert check_matrix(twin) == expected, (bounds, test.name)
+            pairs += 1
+    assert pairs == 928 + 192
 
 
 def test_one_monitored_exploration_per_check(idioms, monkeypatch):
