@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from progress_lab.classify import classify_suite
 from progress_lab.litmus_io import parse_litmus
 from progress_lab.synth import SynthConfig, synthesize
 
@@ -78,6 +80,7 @@ SUITE_CAPPED = {
     (3, 3): 192,
     (3, 4): 4_626,
 }
+ALL_BOUNDS = tuple(SUITE_CAPPED)
 
 
 @pytest.fixture(scope="session")
@@ -114,3 +117,15 @@ def capped_tests(result, bounds):
         for t, (states, actions) in zip(result.tests, result.lts_sizes)
         if states <= smax and actions <= amax
     ]
+
+
+@pytest.fixture(scope="session")
+def all_bounds_report(suites):
+    """`classify_suite` over the capped tests of every fixture bound, each
+    name prefixed by its bounds (`b23-t0001`), computed once per session."""
+    tests = [
+        replace(t, name=f"b{bounds[0]}{bounds[1]}-{t.name}")
+        for bounds in ALL_BOUNDS
+        for t in capped_tests(suites(*bounds), bounds)
+    ]
+    return classify_suite(tests)

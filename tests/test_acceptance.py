@@ -15,6 +15,7 @@ import pytest
 
 import naive
 from conftest import (
+    ALL_BOUNDS,
     IDIOM_PASSES,
     SUITE_CANDIDATES,
     SUITE_CAPPED,
@@ -225,14 +226,9 @@ def test_check_5_hierarchy_monotonicity(partition23):
     print(f"check 5e: PASS (monotone over {len(pairs)} ordered pairs)")
 
 
-def test_check_6_weak_fraction_and_published_arithmetic(suites):
-    all_bounds = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
-    tests = []
-    for bounds in all_bounds:
-        for t in capped_tests(suites(*bounds), bounds):
-            tests.append(replace(t, name=f"b{bounds[0]}{bounds[1]}-{t.name}"))
-    assert len(tests) == sum(SUITE_CAPPED[b] for b in all_bounds)
-    report = classify_suite(tests)
+def test_check_6_weak_fraction_and_published_arithmetic(all_bounds_report):
+    report = all_bounds_report
+    assert len(report.names) == sum(SUITE_CAPPED[b] for b in ALL_BOUNDS)
     assert report.unclassified == () and report.errors == {}
     fraction = len(report.weak_tests) / len(report.names)
     flag = "" if abs(fraction - 0.65) <= 0.10 else "FLAG "
@@ -245,7 +241,7 @@ def test_check_6_weak_fraction_and_published_arithmetic(suites):
     )
     assert len(c["weak-lobe"]) == len(d["weak-lobe"]) + len(c["weak-hsa"] | c["weak-obe"])
     print(
-        f"check 6: {flag}PASS (weak fraction {fraction:.3f} on {len(tests)} "
+        f"check 6: {flag}PASS (weak fraction {fraction:.3f} on {len(report.names)} "
         "tests vs 0.65 +/- 0.10 reference; our bounds mix skews large; "
         "split arithmetic holds)"
     )

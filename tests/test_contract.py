@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict
 
 from conftest import GOLDEN_DIR, capped_tests
-from progress_lab.classify import classify_suite, write_report
+from progress_lab.classify import classify_suite, matrix_csv, partitions_json_dict, write_report
 from progress_lab.emit import Variant, expand_layout
 from progress_lab.litmus_io import serialize_litmus
 from progress_lab.lts import build_monitored_lts, build_plain_lts
@@ -42,6 +42,17 @@ def test_classify_outputs_are_pinned(suites, tmp_path):
                 files[f"{label}/{kind}"] = path.read_bytes()
     assert len(files) == 12
     assert _digest(files) == CONTRACT["classify"]
+
+
+def test_all_bounds_classification_is_pinned(all_bounds_report):
+    """`matrix_csv` and `partitions_json_dict` of check 6's classification
+    of the 24,796 capped tests of every fixture bound, which reaches the
+    (2,4) and (3,4) suites that the `classify` family leaves out."""
+    files = {
+        "matrix.csv": matrix_csv(all_bounds_report).encode(),
+        "partitions.json": json.dumps(partitions_json_dict(all_bounds_report), indent=2).encode(),
+    }
+    assert _digest(files) == CONTRACT["classify-all-bounds"]
 
 
 def test_synthesis_outputs_are_pinned(suites):
