@@ -103,6 +103,17 @@ class LitmusTest:
         return MachineState((0,) * self.num_locations, (0,) * self.num_threads)
 
 
+def relabel_locations(threads, perm) -> tuple[tuple[AxbInstruction, ...], ...]:
+    """`threads` with each instruction's location `loc` renamed `perm[loc]`.
+
+    `perm` (a sequence or a dict) must map every location the threads use.
+    """
+    return tuple(
+        tuple(AxbInstruction(perm[ins.loc], ins.cmp, ins.jump, ins.exch) for ins in thread)
+        for thread in threads
+    )
+
+
 def enabled_threads(test: LitmusTest, state: MachineState) -> tuple[int, ...]:
     """Threads that may step: exactly the non-terminated ones.
 

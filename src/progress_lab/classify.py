@@ -11,6 +11,16 @@ therefore pairwise disjoint.  A test conforming to two incomparable
 variants (weak HSA and weak OBE, say) and to nothing below both has no
 least model and falls into no distinguishing set; the capped (2,3)
 suite has 22 such weak tests.
+
+The oracle runs once per location orbit: tests equal up to a renaming
+of memory locations.  Renaming maps a test's plain and monitored LTS
+onto isomorphic ones, state for state.  Memory starts all zero, so
+every renaming fixes the initial state, and fair sets depend only on
+which threads stepped or terminated, never on memory.  Locations are
+thus a scalarset in the sense of Ip & Dill ("Better verification
+through symmetry", FMSD 1996), and every test of an orbit gets the same
+verdict in every column.  Synthesis without symmetry reduction keeps
+both location twins, so this halves the oracle runs on its suites.
 """
 
 from __future__ import annotations
@@ -18,10 +28,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .axb import LitmusTest, relabel_locations
+from .litmus_io import serialize_body
 from .lts import DEFAULT_MAX_STATES
 from .models import (
     Fairness,
@@ -36,6 +50,8 @@ from .oracle import check_matrix
 
 WEAK_FAIR = variant_token((ProgressModel.FAIR, Fairness.WEAK))
 STRONG_FAIR = variant_token((ProgressModel.FAIR, Fairness.STRONG))
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +73,20 @@ class SuiteReport:
         return len(self.weak_tests) / classified if classified else 0.0
 
 
+def _orbit_key(test: LitmusTest) -> str:
+    """Body text with locations renamed in order of first use, thread 0's
+    instructions first.  Two tests share a key exactly when one is a
+    location relabeling of the other; unused locations stay unused, and
+    `num_locations` and `value_domain` remain part of the text."""
+    perm: dict[int, int] = {}
+    for thread in test.threads:
+        for ins in thread:
+            perm.setdefault(ins.loc, len(perm))
+    return serialize_body(
+        relabel_locations(test.threads, perm), test.num_locations, test.value_domain
+    )
+
+
 def classify_suite(
     tests,
     hierarchy: Hierarchy | None = None,
@@ -71,7 +101,14 @@ def classify_suite(
     none if it conforms to two incomparable variants but to nothing
     below both.  Rows are keyed by test name, so a name shared by two
     tests raises ValueError.
+
+    `check_matrix` runs once per location orbit (see the module
+    docstring): on its first test in suite order, and every later member
+    gets its own copy of that row.  A test whose check raises is recorded
+    in `errors` and shares nothing, so each later member of its orbit is
+    checked itself and an error names its own test.
     """
+    started = time.perf_counter()
     if hierarchy is None:
         hierarchy = default_hierarchy()
     tests = list(tests)
@@ -81,13 +118,19 @@ def classify_suite(
         raise ValueError(f"duplicate test names: {', '.join(duplicates)}")
     matrix: dict[str, dict[str, bool]] = {}
     errors: dict[str, str] = {}
+    checked: dict[str, str] = {}  # orbit key -> name of the test checked
     for test in tests:
+        key = _orbit_key(test)
+        if key in checked:
+            matrix[test.name] = dict(matrix[checked[key]])
+            continue
         try:
             verdicts = check_matrix(test, max_states=max_states)
         except Exception as exc:  # noqa: BLE001 - recorded, not fatal
             errors[test.name] = f"{type(exc).__name__}: {exc}"
             continue
         matrix[test.name] = {tok: v.passed for tok, v in verdicts.items()}
+        checked[key] = test.name
 
     classified = [n for n in names if n in matrix]
     weak = tuple(n for n in classified if matrix[n][WEAK_FAIR])
@@ -131,6 +174,13 @@ def classify_suite(
         if matrix[name][lo] and not matrix[name][hi]
     ]
 
+    log.info(
+        "classified %d tests: %d location orbits checked, %d errors, %.2f s",
+        len(names),
+        len(checked),
+        len(errors),
+        time.perf_counter() - started,
+    )
     return SuiteReport(
         names=tuple(names),
         matrix=matrix,

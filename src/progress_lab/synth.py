@@ -26,7 +26,7 @@ instruction lines once (`litmus_io.serialize_program`), and the key of
 an accepted thread order joins those texts (`litmus_io.join_body`), the
 same serializer `serialize_body` uses, so no candidate test is built.
 Only symmetry reduction, which keeps the least text over location
-relabelings, goes through `canonicalize`.  Each unique body is parsed
+relabelings (`axb.relabel_locations`), goes through `canonicalize`.  Each unique body is parsed
 once at the end to build its test.
 
 Only one candidate per thread-permutation orbit is checked (thread
@@ -60,7 +60,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .axb import AxbInstruction, LitmusTest, execute
+from .axb import AxbInstruction, LitmusTest, execute, relabel_locations
 from .litmus_io import join_body, parse_litmus, serialize_body, serialize_program
 
 # Rejection counters, in the order the checks run.
@@ -314,22 +314,12 @@ def _check_candidate(
     return None, n_states, n_actions
 
 
-def _relabel_locations(threads, perm) -> tuple[tuple[AxbInstruction, ...], ...]:
-    return tuple(
-        tuple(
-            AxbInstruction(perm[ins.loc], ins.cmp, ins.jump, ins.exch)
-            for ins in thread
-        )
-        for thread in threads
-    )
-
-
 def canonicalize(test: LitmusTest) -> str:
     """The least body text over all location relabelings, so
     location-swapped twins collapse; the name never participates."""
     nl, vd = test.num_locations, test.value_domain
     return min(
-        serialize_body(_relabel_locations(test.threads, perm), nl, vd)
+        serialize_body(relabel_locations(test.threads, perm), nl, vd)
         for perm in itertools.permutations(range(nl))
     )
 

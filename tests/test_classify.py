@@ -1,10 +1,14 @@
 """Suite classification: pools, conformance, distinguishing sets, reports."""
 
 import json
+import logging
+import re
 
 import pytest
 
-from progress_lab.axb import AxbInstruction, LitmusTest
+from conftest import capped_tests
+from progress_lab import classify
+from progress_lab.axb import AxbInstruction, LitmusTest, relabel_locations
 from progress_lab.classify import (
     classify_suite,
     matrix_csv,
@@ -152,3 +156,72 @@ def test_duplicate_names_are_rejected(idioms):
     twin = idioms["dining"]
     with pytest.raises(ValueError, match="duplicate test names: dining"):
         classify_suite([idioms["mutex"], twin, twin])
+
+
+def _count_checks(monkeypatch):
+    """Names of the tests `classify_suite` runs the oracle on."""
+    checked = []
+    original = classify.check_matrix
+
+    def counting(test, *args, **kwargs):
+        checked.append(test.name)
+        return original(test, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "check_matrix", counting)
+    return checked
+
+
+# A spinner waiting on a flag at location 1, over two locations.
+SPIN = LitmusTest("a", 2, 2, ((I(0, 0, 1, exch=1), I(1, 0, 2, exch=1)), (I(1, 0, 0),)))
+
+
+def test_one_check_per_location_orbit(suites, monkeypatch):
+    tests = capped_tests(suites(2, 3), (2, 3))
+    checked = _count_checks(monkeypatch)
+    report = classify_suite(tests)
+    assert (len(tests), len(checked), len(report.matrix)) == (928, 464, 928)
+
+
+def test_each_twin_error_names_its_own_test(monkeypatch):
+    twin = LitmusTest("b", 2, 2, relabel_locations(SPIN.threads, (1, 0)))
+    checked = _count_checks(monkeypatch)
+    report = classify_suite([SPIN, twin], max_states=1)
+    assert checked == ["a", "b"]
+    assert report.matrix == {}
+    assert report.errors == {
+        "a": "ExplorationLimitError: plain LTS of 'a' exceeds 1 states",
+        "b": "ExplorationLimitError: plain LTS of 'b' exceeds 1 states",
+    }
+
+
+def test_twins_get_their_own_rows(monkeypatch):
+    twin = LitmusTest("b", 2, 2, relabel_locations(SPIN.threads, (1, 0)))
+    checked = _count_checks(monkeypatch)
+    report = classify_suite([SPIN, twin])
+    assert checked == ["a"]
+    assert report.matrix["a"] == report.matrix["b"]
+    before = dict(report.matrix["b"])
+    report.matrix["a"]["unfair"] = not report.matrix["a"]["unfair"]
+    assert report.matrix["b"] == before
+
+
+def test_orbit_key_ignores_unused_locations(monkeypatch):
+    # Locations 0 and 2 of three, relabeled onto 0 and 1: one orbit.  The
+    # same threads over two locations are a different test.
+    uses_0_2 = LitmusTest("uses-0-2", 3, 2, relabel_locations(SPIN.threads, (0, 2)))
+    uses_0_1 = LitmusTest("uses-0-1", 3, 2, SPIN.threads)
+    checked = _count_checks(monkeypatch)
+    report = classify_suite([uses_0_2, uses_0_1, SPIN])
+    assert checked == ["uses-0-2", "a"]
+    assert report.matrix["uses-0-2"] == report.matrix["uses-0-1"]
+
+
+def test_logs_one_line_per_suite(idioms, caplog):
+    with caplog.at_level(logging.INFO, logger="progress_lab.classify"):
+        classify_suite(idioms.values())
+    [record] = caplog.records
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(
+        r"classified 6 tests: 6 location orbits checked, 0 errors, \d+\.\d\d s",
+        record.getMessage(),
+    )

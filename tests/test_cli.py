@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import progress_lab
 from progress_lab.cli import main
 
 IDIOM_DIR = Path(__file__).parent.parent / "docs" / "idioms"
@@ -139,6 +144,27 @@ def test_classify_then_report(suite22, tmp_path, capsys):
         assert (report_dir / name).is_file()
     assert main(["report", str(report_dir)]) == 0
     assert "tests classified: 20" in capsys.readouterr().out
+
+
+def test_classify_logs_its_summary_at_info(suite22, tmp_path, capsys):
+    # A fresh process, since the test runner's own logging handlers keep
+    # `--log-level` from installing one here.
+    assert main(["classify", "--suite", str(suite22), "--out", str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr().out
+    src = str(Path(progress_lab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["--log-level", "info", "classify", "--suite", str(suite22), "--out", str(tmp_path / "info")]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from progress_lab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == quiet
+    assert re.fullmatch(
+        r"INFO progress_lab\.classify: classified 20 tests: 10 location orbits checked, "
+        r"0 errors, \d+\.\d\d s\n",
+        proc.stderr,
+    )
 
 
 def test_classify_rejects_duplicate_names(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import naive
 from conftest import IDIOM_PASSES
-from progress_lab.axb import AxbInstruction, LitmusTest, MachineState
+from progress_lab.axb import AxbInstruction, LitmusTest, MachineState, relabel_locations
 from progress_lab.lts import ExplorationLimitError
 from progress_lab.models import (
     UNFAIR_VARIANT,
@@ -18,7 +18,6 @@ from progress_lab.models import (
     variant_token,
 )
 from progress_lab.oracle import Verdict, WitnessKind, check_matrix, format_witness
-from progress_lab.synth import _relabel_locations
 from strategies import litmus_tests
 
 I = AxbInstruction
@@ -227,7 +226,7 @@ def test_location_twins_get_the_same_verdicts_and_witnesses(suites):
     for bounds in ((2, 3), (3, 3)):
         for test in capped_tests(suites(*bounds), bounds):
             perm = tuple(reversed(range(test.num_locations)))
-            twin = replace(test, threads=_relabel_locations(test.threads, perm))
+            twin = replace(test, threads=relabel_locations(test.threads, perm))
             expected = {
                 tok: v if v.passed else replace(v, witness=_relabeled_witness(v.witness, perm))
                 for tok, v in check_matrix(test).items()
