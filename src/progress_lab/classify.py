@@ -20,7 +20,7 @@ which threads stepped or terminated, never on memory.  Locations are
 thus a scalarset in the sense of Ip & Dill ("Better verification
 through symmetry", FMSD 1996), and every test of an orbit gets the same
 verdict in every column.  Synthesis without symmetry reduction keeps
-both location twins, so this halves the oracle runs on its suites.
+both location twins, so on its suites this halves the oracle runs.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ instruction lines once (`litmus_io.serialize_program`), and the key of
 an accepted thread order joins those texts (`litmus_io.join_body`), the
 same serializer `serialize_body` uses, so no candidate test is built.
 Only symmetry reduction, which keeps the least text over location
-relabelings (`axb.relabel_locations`), goes through `canonicalize`.  Each unique body is parsed
-once at the end to build its test.
+relabelings (`axb.relabel_locations`, shared with `classify`), goes
+through `canonicalize`.  Each unique body is parsed once at the end to
+build its test.
 
 Only one candidate per thread-permutation orbit is checked (thread
 symmetry reduction, as in Emerson & Sistla and Ip & Dill, FMSD 1996).

@@ -151,12 +151,12 @@ def test_classify_logs_its_summary_at_info(suite22, tmp_path, capsys):
     # `--log-level` from installing one here.
     assert main(["classify", "--suite", str(suite22), "--out", str(tmp_path / "quiet")]) == 0
     quiet = capsys.readouterr().out
-    src = str(Path(progress_lab.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    paths = [str(Path(progress_lab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = "import sys; from progress_lab.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = ["--log-level", "info", "classify", "--suite", str(suite22), "--out", str(tmp_path / "info")]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from progress_lab.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == quiet
