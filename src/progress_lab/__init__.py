@@ -30,7 +30,6 @@ from .models import (
     Hierarchy,
     ModelVariant,
     ProgressModel,
-    SchedulerFacts,
     all_model_variants,
     default_hierarchy,
     fair_set,
@@ -58,7 +57,6 @@ __all__ = [
     "ModelVariant",
     "ProgressModel",
     "RunOutcome",
-    "SchedulerFacts",
     "SchedulerKind",
     "SchedulerSpec",
     "SuiteReport",

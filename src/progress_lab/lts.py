@@ -8,14 +8,15 @@ end state.  The constructions differ only in their successor function.
 The plain LTS explores machine states only; it is the one exploration
 that runs `axb.step`.  The monitored LTS is its product with the
 stepped-set monitor: each plain state paired with the set of threads
-that have stepped, plus the threads that have terminated there.  Both
-kinds hold machine states in `Lts.states`; a monitored LTS also holds
-each state's `SchedulerFacts` in `Lts.facts`, which is None for a plain
-one.  The monitored LTS does not depend on any progress model: only the
-fair set of a state does, so one monitored LTS serves every model, and
-`Lts.fair_sets` derives the fair sets of one model from the facts.  A
-transition's fair label is the fair set of its *source* state, i.e. the
-guarantee in force before the step.
+that have stepped, plus the threads that have terminated there.  Thread
+sets are int bitmasks, bit t standing for thread t, as in `models`.
+Both kinds hold machine states in `Lts.states`; a monitored LTS also
+holds each state's `(stepped, terminated)` mask pair in `Lts.facts`,
+which is None for a plain one.  The monitored LTS does not depend on any
+progress model: only the fair set of a state does, so one monitored LTS
+serves every model, and `Lts.fair_sets` derives the fair sets of one
+model from the facts.  A transition's fair label is the fair set of its
+*source* state, i.e. the guarantee in force before the step.
 Termination is folded into the completing step (the target state's
 facts already record it), so there are no separate termination
 transitions; cycles therefore never contain one, and the oracle treats
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass
 
 from .axb import AxbInstruction, LitmusTest, MachineState, enabled_threads, step
-from .models import ProgressModel, SchedulerFacts, fair_set
+from .models import ProgressModel, fair_set, thread_ids
 
 DEFAULT_MAX_STATES = 10**6
 
@@ -51,10 +52,11 @@ class Lts:
     """Reachable states (index 0 = initial) plus labeled transitions.
 
     `states[i]` is the machine state of state i.  `facts[i]` is its
-    scheduler facts in a monitored LTS; `facts` is None in a plain one.
-    `out[i]` is the range of ids of state i's transitions, in ascending
-    thread id.  State numbering is breadth-first discovery order with
-    threads explored in ascending id, so it is deterministic.
+    `(stepped, terminated)` thread masks in a monitored LTS; `facts` is
+    None in a plain one.  `out[i]` is the range of ids of state i's
+    transitions, in ascending thread id.  State numbering is breadth-first
+    discovery order with threads explored in ascending id, so it is
+    deterministic.
     """
 
     def __init__(
@@ -63,7 +65,7 @@ class Lts:
         states: list[MachineState],
         transitions: list[Transition],
         out: list[range],
-        facts: list[SchedulerFacts] | None = None,
+        facts: list[tuple[int, int]] | None = None,
     ):
         self.test = test
         self.states = states
@@ -73,24 +75,12 @@ class Lts:
         self.end_states = [s for s, edges in enumerate(out) if not edges]
         self.initial = 0
 
-    def fair_sets(self, model: ProgressModel) -> list[frozenset[int]]:
-        """The fair set of every state under `model`, indexed by state id.
-
-        States sharing their stepped and terminated sets share one fair
-        set, so `fair_set` runs once per distinct pair, not once per state
-        or transition.
-        """
+    def fair_sets(self, model: ProgressModel) -> list[int]:
+        """The fair-set mask of every state under `model`, indexed by state id."""
         if self.facts is None:
             raise ValueError("a plain LTS carries no scheduler facts")
-        by_facts: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
-        out = []
-        for facts in self.facts:
-            key = (facts.stepped, facts.terminated)
-            fair = by_facts.get(key)
-            if fair is None:
-                fair = by_facts[key] = fair_set(model, facts)
-            out.append(fair)
-        return out
+        n = self.test.num_threads
+        return [fair_set(model, stepped, terminated, n) for stepped, terminated in self.facts]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -103,15 +93,15 @@ class Lts:
         for idx, m in enumerate(self.states):
             label = f"s{idx}\\nmem={','.join(map(str, m.memory))}\\npc={','.join(map(str, m.pcs))}"
             if self.facts is not None:
-                stepped = self.facts[idx].stepped
-                label += f"\\nstepped={{{','.join(map(str, sorted(stepped)))}}}"
+                stepped = thread_ids(self.facts[idx][0])
+                label += f"\\nstepped={{{','.join(map(str, stepped))}}}"
             shape = "doublecircle" if idx in ends else "circle"
             lines.append(f'  s{idx} [shape={shape}, label="{label}"];')
         for tr in self.transitions:
             if fair is None:
                 label = f"T{tr.tid}"
             else:
-                label = f"T{tr.tid}:{{{','.join(map(str, sorted(fair[tr.src])))}}}"
+                label = f"T{tr.tid}:{{{','.join(map(str, thread_ids(fair[tr.src])))}}}"
             lines.append(f'  s{tr.src} -> s{tr.dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -122,9 +112,9 @@ class Lts:
         for idx, m in enumerate(self.states):
             entry: dict = {"memory": list(m.memory), "pcs": list(m.pcs)}
             if self.facts is not None:
-                facts = self.facts[idx]
-                entry["stepped"] = sorted(facts.stepped)
-                entry["terminated"] = sorted(facts.terminated)
+                stepped, terminated = self.facts[idx]
+                entry["stepped"] = thread_ids(stepped)
+                entry["terminated"] = thread_ids(terminated)
             states.append(entry)
         transitions = []
         for tr in self.transitions:
@@ -140,7 +130,7 @@ class Lts:
                         "jump": ins.jump,
                         "exch": ins.exch,
                     },
-                    "fair": None if fair is None else sorted(fair[tr.src]),
+                    "fair": None if fair is None else thread_ids(fair[tr.src]),
                 }
             )
         return {
@@ -200,35 +190,35 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
 def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts:
     """The product of `plain` with the stepped-set monitor.
 
-    A product state pairs a plain state with the set of threads that have
-    stepped so far; each plain transition by thread t moves the pair
-    (p, stepped) to (dst, stepped | {t}).  The stepped set is part of the
-    state because the fair set must be a function of the state, and two
-    histories reaching one machine state with different stepped sets
+    A product state pairs a plain state with the mask of threads that
+    have stepped so far; each plain transition by thread t moves the pair
+    (p, stepped) to (dst, stepped | 1 << t).  The stepped mask is part of
+    the state because the fair set must be a function of the state, and
+    two histories reaching one machine state with different stepped sets
     carry different guarantees under some model.  A thread has
     terminated once its pc is past its program, a function of the plain
     state alone.  Each product state reuses its plain state's
-    `MachineState` and records its facts in the parallel `facts` list.
-    Successors follow the plain LTS's order (ascending thread id), so
-    numbering is deterministic.  A pair over a plain end state has no
-    successors, which makes it an end state.
+    `MachineState` and records its `(stepped, terminated)` masks in the
+    parallel `facts` list.  Successors follow the plain LTS's order
+    (ascending thread id), so numbering is deterministic.  A pair over a
+    plain end state has no successors, which makes it an end state.
     """
     test = plain.test
     n = test.num_threads
     lengths = [len(p) for p in test.threads]
     terminated = [
-        frozenset(t for t in range(n) if m.pcs[t] >= lengths[t]) for m in plain.states
+        sum(1 << t for t in range(n) if m.pcs[t] >= lengths[t]) for m in plain.states
     ]
 
-    def successors(pair: tuple[int, frozenset[int]]):
+    def successors(pair: tuple[int, int]):
         p, stepped = pair
         for ti in plain.out[p]:
             tr = plain.transitions[ti]
-            yield (tr.dst, stepped | {tr.tid}), tr.tid, tr.instr
+            yield (tr.dst, stepped | 1 << tr.tid), tr.tid, tr.instr
 
-    pairs, transitions, out = _explore(test, "monitored", (0, frozenset()), successors, max_states)
+    pairs, transitions, out = _explore(test, "monitored", (0, 0), successors, max_states)
     states = [plain.states[p] for p, _ in pairs]
-    facts = [SchedulerFacts(stepped, terminated[p], n) for p, stepped in pairs]
+    facts = [(stepped, terminated[p]) for p, stepped in pairs]
     return Lts(test, states, transitions, out, facts)
 
 
@@ -237,14 +227,14 @@ class Scc:
     """One strongly connected component of an LTS.
 
     `internal` lists indices of transitions with both endpoints in the
-    component; `stepping` is the set of thread ids on those transitions.
+    component; `stepping` is the mask of thread ids on those transitions.
     A component is nontrivial when it can be looped in: two or more
     states, or a single state with a self-loop.
     """
 
     members: tuple[int, ...]
     internal: tuple[int, ...]
-    stepping: frozenset[int]
+    stepping: int
     nontrivial: bool
 
 
@@ -304,14 +294,17 @@ def scc_decompose(lts: Lts) -> list[Scc]:
     for node in range(n):
         members[comp_of[node]].append(node)
     internal: list[list[int]] = [[] for _ in range(comp_count)]
+    stepping = [0] * comp_count
     for idx, tr in enumerate(lts.transitions):
-        if comp_of[tr.src] == comp_of[tr.dst]:
-            internal[comp_of[tr.src]].append(idx)
+        c = comp_of[tr.src]
+        if c == comp_of[tr.dst]:
+            internal[c].append(idx)
+            stepping[c] |= 1 << tr.tid
     sccs = [
         Scc(
             tuple(sorted(members[c])),
             tuple(internal[c]),
-            frozenset(lts.transitions[i].tid for i in internal[c]),
+            stepping[c],
             len(members[c]) > 1 or bool(internal[c]),
         )
         for c in range(comp_count)

@@ -2,9 +2,10 @@
 
 A progress model maps scheduler-visible facts (who has stepped, who has
 terminated) to the fair set F: the threads that are guaranteed eventual
-execution from that point on.  Six models are supported; all except
-`unfair` split into a weak and a strong flavor at verdict time, giving
-eleven distinct verdict-producing models.
+execution from that point on.  `fair_set` states each model's rule once,
+over thread sets held as int bitmasks.  Six models are supported; all
+except `unfair` split into a weak and a strong flavor at verdict time,
+giving eleven distinct verdict-producing models.
 
 Classifying uses the order "strictly less fair than" (Sorensen, Evrard
 & Donaldson, CONCUR 2018): unfair < {HSA, OBE} < HSA+OBE < LOBE < fair
@@ -15,7 +16,6 @@ other's; unfair, which has no flavor, is below every other variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -39,49 +39,34 @@ ModelVariant = tuple[ProgressModel, "Fairness | None"]
 UNFAIR_VARIANT: ModelVariant = (ProgressModel.UNFAIR, None)
 
 
-@dataclass(frozen=True, slots=True)
-class SchedulerFacts:
-    """What a scheduler has observably done so far.
+def fair_set(model: ProgressModel, stepped: int, terminated: int, num_threads: int) -> int:
+    """Threads guaranteed eventual execution under `model`, as a bitmask.
 
-    `stepped` is the set of threads that have executed at least one
-    instruction, `terminated` the subset of those that have finished
-    their program.  A thread cannot terminate without stepping, since
-    every thread has at least one instruction.
+    Thread sets are int bitmasks, bit t standing for thread t (Knuth,
+    TAOCP Vol. 4A, 7.1.3).  `stepped` holds the threads that have
+    executed at least one instruction, `terminated` the subset of those
+    that have finished their program; a thread cannot terminate without
+    stepping, since every thread has at least one instruction.
     """
-
-    stepped: frozenset[int]
-    terminated: frozenset[int]
-    num_threads: int
-
-    def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ValueError("facts need at least one thread")
-        everyone = range(self.num_threads)
-        if not self.stepped <= frozenset(everyone):
-            raise ValueError("stepped contains unknown thread ids")
-        if not self.terminated <= self.stepped:
-            raise ValueError("terminated threads must have stepped")
-
-
-def fair_set(model: ProgressModel, facts: SchedulerFacts) -> frozenset[int]:
-    """Threads guaranteed eventual execution under `model`, given `facts`."""
-    alive = frozenset(range(facts.num_threads)) - facts.terminated
+    alive = ((1 << num_threads) - 1) & ~terminated
     if model is ProgressModel.UNFAIR:
-        return frozenset()
+        return 0
     if model is ProgressModel.FAIR:
         return alive
     if model is ProgressModel.OBE:
-        return facts.stepped - facts.terminated
+        return stepped & alive
     if model is ProgressModel.HSA:
-        return frozenset((min(alive),)) if alive else frozenset()
+        return alive & -alive  # the lowest live thread
     if model is ProgressModel.LOBE:
-        if not facts.stepped:
-            return frozenset()
-        bound = max(facts.stepped)
-        return frozenset(t for t in alive if t <= bound)
+        return alive & ((1 << stepped.bit_length()) - 1)  # up to the highest stepped
     if model is ProgressModel.HSA_OBE:
-        return fair_set(ProgressModel.HSA, facts) | fair_set(ProgressModel.OBE, facts)
+        return (alive & -alive) | (stepped & alive)
     raise ValueError(f"unknown progress model {model!r}")
+
+
+def thread_ids(mask: int) -> list[int]:
+    """The members of thread-set bitmask `mask`, in ascending order."""
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
 
 
 def variant_token(variant: ModelVariant) -> str:

@@ -3,7 +3,9 @@
 `check_matrix` is the one verdict entry point: it answers every model
 variant of a test from one exploration.  The weak and strong checks read
 a model's fair sets off the monitored LTS, whose `facts` list holds the
-`SchedulerFacts` of each state.
+stepped and terminated thread masks of each state.  Thread sets stay int
+bitmasks throughout (bit t for thread t); only witnesses turn them into
+frozensets.
 
 The weak check asks whether a scheduler obeying the model's guarantees
 can still run forever: it fails exactly when some reachable nontrivial
@@ -36,7 +38,7 @@ from enum import Enum
 
 from .axb import AxbInstruction, LitmusTest, MachineState
 from .lts import DEFAULT_MAX_STATES, Lts, Scc, build_monitored_lts, build_plain_lts, scc_decompose
-from .models import Fairness, ProgressModel, all_model_variants, variant_token
+from .models import Fairness, ProgressModel, all_model_variants, thread_ids, variant_token
 
 
 class WitnessKind(str, Enum):
@@ -86,13 +88,13 @@ class Verdict:
 
 
 def _witness_steps(
-    lts: Lts, transition_ids: list[int], fair: list[frozenset[int]]
+    lts: Lts, transition_ids: list[int], fair: list[int]
 ) -> tuple[WitnessStep, ...]:
     steps = []
     for idx in transition_ids:
         tr = lts.transitions[idx]
         pc = lts.states[tr.src].pcs[tr.tid]
-        steps.append(WitnessStep(tr.tid, pc, tr.instr, fair[tr.src]))
+        steps.append(WitnessStep(tr.tid, pc, tr.instr, frozenset(thread_ids(fair[tr.src]))))
     return tuple(steps)
 
 
@@ -130,7 +132,7 @@ def _bfs(
     raise ValueError("no path reaches the goal")
 
 
-def _cycle_witness(lts: Lts, scc: Scc, fair: list[frozenset[int]]) -> Witness:
+def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
     """Shortest path to the SCC, then a closed walk stepping every F-thread."""
     trs = lts.transitions
     members = set(scc.members)
@@ -142,7 +144,7 @@ def _cycle_witness(lts: Lts, scc: Scc, fair: list[frozenset[int]]) -> Witness:
 
     cycle_ids: list[int] = []
     cur = entry
-    for tid in sorted(fair[entry]):
+    for tid in thread_ids(fair[entry]):
         cycle_ids += _bfs(lts, cur, lambda t: trs[t].tid == tid, inside)
         cur = trs[cycle_ids[-1]].dst
     if not cycle_ids:
@@ -158,14 +160,14 @@ def _cycle_witness(lts: Lts, scc: Scc, fair: list[frozenset[int]]) -> Witness:
     )
 
 
-def _weak(lts: Lts, sccs: list[Scc], fair: list[frozenset[int]]) -> Verdict:
+def _weak(lts: Lts, sccs: list[Scc], fair: list[int]) -> Verdict:
     for scc in sccs:
-        if scc.nontrivial and scc.stepping >= fair[scc.members[0]]:
+        if scc.nontrivial and not fair[scc.members[0]] & ~scc.stepping:
             return Verdict(False, _cycle_witness(lts, scc, fair))
     return Verdict(True)
 
 
-def _strong(lts: Lts, fair: list[frozenset[int]]) -> Verdict:
+def _strong(lts: Lts, fair: list[int]) -> Verdict:
     # End states owe nothing (every thread has terminated), and a state
     # about to take a step owed to nobody discharges the obligation
     # outright, even though the run continues.
@@ -173,7 +175,7 @@ def _strong(lts: Lts, fair: list[frozenset[int]]) -> Verdict:
     worklist = [s for s, ok in enumerate(good) if ok]
     fair_rev: dict[int, list[int]] = {}
     for tr in lts.transitions:
-        if tr.tid in fair[tr.src]:
+        if fair[tr.src] >> tr.tid & 1:
             fair_rev.setdefault(tr.dst, []).append(tr.src)
     for node in worklist:
         for pred in fair_rev.get(node, ()):
@@ -191,7 +193,7 @@ def _strong(lts: Lts, fair: list[frozenset[int]]) -> Verdict:
         _witness_steps(lts, path_ids, fair),
         (),
         lts.states[stuck],
-        fair[stuck],
+        frozenset(thread_ids(fair[stuck])),
     )
     return Verdict(False, witness)
 
@@ -207,7 +209,7 @@ def _unfair(plain: Lts) -> Verdict:
 
     That is the weak check with every fair set empty.
     """
-    return _weak(plain, scc_decompose(plain), [frozenset()] * len(plain))
+    return _weak(plain, scc_decompose(plain), [0] * len(plain))
 
 
 def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict[str, Verdict]:

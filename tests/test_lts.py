@@ -14,7 +14,7 @@ from progress_lab.lts import (
     build_plain_lts,
     scc_decompose,
 )
-from progress_lab.models import ProgressModel, fair_set
+from progress_lab.models import ProgressModel, fair_set, thread_ids
 from strategies import litmus_tests
 
 I = AxbInstruction
@@ -62,21 +62,22 @@ def test_plain_has_no_fairness_info(idioms):
 
 
 def test_monitored_tracks_stepped_and_fair(idioms):
-    lts = build_monitored_lts(build_plain_lts(idioms["mutex"]))
+    test = idioms["mutex"]
+    lts = build_monitored_lts(build_plain_lts(test))
     assert lts.facts is not None
-    assert lts.facts[lts.initial].stepped == frozenset()
+    assert lts.facts[lts.initial] == (0, 0)
     fair = lts.fair_sets(ProgressModel.OBE)
     for tr in lts.transitions:
-        facts = lts.facts[tr.src]
-        assert fair[tr.src] == fair_set(ProgressModel.OBE, facts)
-        assert lts.facts[tr.dst].stepped == facts.stepped | {tr.tid}
+        stepped, terminated = lts.facts[tr.src]
+        assert fair[tr.src] == fair_set(ProgressModel.OBE, stepped, terminated, test.num_threads)
+        assert lts.facts[tr.dst][0] == stepped | 1 << tr.tid
 
 
 def test_monitored_merges_on_machine_and_stepped(idioms):
     # prodcons-increasing: after both threads stepped once each in either
     # order, machine and stepped coincide, so the states merge
     lts = build_monitored_lts(build_plain_lts(idioms["prodcons-increasing"]))
-    keys = {(lts.states[i], lts.facts[i].stepped) for i in range(len(lts.states))}
+    keys = {(lts.states[i], lts.facts[i][0]) for i in range(len(lts.states))}
     assert len(keys) == len(lts.states)
 
 
@@ -168,7 +169,7 @@ def test_scc_partition_and_labels(idioms):
         for ti in c.internal:
             tr = lts.transitions[ti]
             assert tr.src in members and tr.dst in members
-        assert c.stepping == {lts.transitions[ti].tid for ti in c.internal}
+        assert thread_ids(c.stepping) == sorted({lts.transitions[ti].tid for ti in c.internal})
         assert c.nontrivial == bool(c.internal)
     # deterministic presentation: ascending by smallest member
     assert [min(c.members) for c in sccs] == sorted(min(c.members) for c in sccs)
@@ -213,10 +214,14 @@ def test_dot_and_json_renderings(idioms):
 
 def assert_monitored_matches_naive(test):
     """States, edge multiset, end states and terminated sets agree with the
-    independent exploration in `naive.explore_monitored`."""
+    independent exploration in `naive.explore_monitored`, and every state's
+    facts have terminated within stepped within the test's threads."""
     lts = build_monitored_lts(build_plain_lts(test))
+    everyone = (1 << test.num_threads) - 1
+    for stepped, terminated in lts.facts:
+        assert terminated & ~stepped == 0 and stepped & ~everyone == 0
     keys = [
-        (lts.states[i].memory, lts.states[i].pcs, lts.facts[i].stepped)
+        (lts.states[i].memory, lts.states[i].pcs, frozenset(thread_ids(lts.facts[i][0])))
         for i in range(len(lts))
     ]
     nodes, adj, _ = naive.explore_monitored(test, "fair")
@@ -227,7 +232,7 @@ def assert_monitored_matches_naive(test):
     lengths = [len(p) for p in test.threads]
     for i, (_, pcs, _) in enumerate(keys):
         done = frozenset(t for t, n in enumerate(lengths) if pcs[t] >= n)
-        assert lts.facts[i].terminated == done
+        assert frozenset(thread_ids(lts.facts[i][1])) == done
     assert {keys[i] for i in lts.end_states} == {k for k in nodes if not adj[k]}
 
 

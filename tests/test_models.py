@@ -4,90 +4,99 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import naive
 from progress_lab.models import (
     UNFAIR_VARIANT,
     Fairness,
     ProgressModel,
-    SchedulerFacts,
     all_model_variants,
     default_hierarchy,
     fair_set,
+    thread_ids,
     variant_token,
 )
 
 M = ProgressModel
 
-
-def facts(stepped=(), terminated=(), n=3):
-    return SchedulerFacts(frozenset(stepped), frozenset(terminated), n)
+# Thread sets are bitmasks, bit t for thread t: 0b101 is {0, 2}.
 
 
 @st.composite
 def fact_values(draw, max_threads=4):
+    """(stepped, terminated, n) with terminated within stepped within n threads."""
     n = draw(st.integers(1, max_threads))
-    stepped = draw(st.frozensets(st.integers(0, n - 1)))
-    terminated = draw(st.frozensets(st.sampled_from(sorted(stepped)))) if stepped else frozenset()
-    return SchedulerFacts(stepped, frozenset(terminated), n)
+    stepped = draw(st.integers(0, (1 << n) - 1))
+    terminated = draw(st.integers(0, (1 << n) - 1)) & stepped
+    return stepped, terminated, n
 
 
 def test_unfair_promises_nothing():
-    assert fair_set(M.UNFAIR, facts(stepped={0, 1}, terminated={0})) == frozenset()
+    assert fair_set(M.UNFAIR, 0b011, 0b001, 3) == 0
 
 
 def test_fair_promises_every_live_thread():
-    assert fair_set(M.FAIR, facts()) == {0, 1, 2}
-    assert fair_set(M.FAIR, facts(stepped={0, 1}, terminated={1})) == {0, 2}
+    assert fair_set(M.FAIR, 0, 0, 3) == 0b111
+    assert fair_set(M.FAIR, 0b011, 0b010, 3) == 0b101
 
 
 def test_obe_promises_started_unfinished():
-    assert fair_set(M.OBE, facts()) == frozenset()
-    assert fair_set(M.OBE, facts(stepped={0, 2}, terminated={2})) == {0}
+    assert fair_set(M.OBE, 0, 0, 3) == 0
+    assert fair_set(M.OBE, 0b101, 0b100, 3) == 0b001
 
 
 def test_hsa_promises_lowest_live():
-    assert fair_set(M.HSA, facts()) == {0}
-    assert fair_set(M.HSA, facts(stepped={0}, terminated={0})) == {1}
-    all_done = facts(stepped={0, 1, 2}, terminated={0, 1, 2})
-    assert fair_set(M.HSA, all_done) == frozenset()
+    assert fair_set(M.HSA, 0, 0, 3) == 0b001
+    assert fair_set(M.HSA, 0b001, 0b001, 3) == 0b010
+    assert fair_set(M.HSA, 0b111, 0b111, 3) == 0
 
 
 def test_lobe_promises_up_to_highest_stepped():
-    assert fair_set(M.LOBE, facts()) == frozenset()
-    assert fair_set(M.LOBE, facts(stepped={2})) == {0, 1, 2}
-    assert fair_set(M.LOBE, facts(stepped={1})) == {0, 1}
+    assert fair_set(M.LOBE, 0, 0, 3) == 0
+    assert fair_set(M.LOBE, 0b100, 0, 3) == 0b111
+    assert fair_set(M.LOBE, 0b010, 0, 3) == 0b011
     # the highest stepped thread may already be gone; the bound remains
-    assert fair_set(M.LOBE, facts(stepped={2}, terminated={2})) == {0, 1}
+    assert fair_set(M.LOBE, 0b100, 0b100, 3) == 0b011
     # all stepped threads done, nothing promised to the rest
-    assert fair_set(M.LOBE, facts(stepped={0}, terminated={0})) == frozenset()
+    assert fair_set(M.LOBE, 0b001, 0b001, 3) == 0
 
 
 def test_combined_model_is_a_union():
-    f = facts(stepped={2})
-    assert fair_set(M.HSA_OBE, f) == fair_set(M.HSA, f) | fair_set(M.OBE, f)
+    f = (0b100, 0, 3)
+    assert fair_set(M.HSA_OBE, *f) == fair_set(M.HSA, *f) | fair_set(M.OBE, *f)
 
 
 @given(fact_values())
 def test_fair_set_containments(f):
-    alive = frozenset(range(f.num_threads)) - f.terminated
-    obe = fair_set(M.OBE, f)
-    hsa = fair_set(M.HSA, f)
-    lobe = fair_set(M.LOBE, f)
-    fair = fair_set(M.FAIR, f)
-    assert fair_set(M.UNFAIR, f) == frozenset()
+    stepped, terminated, n = f
+    alive = ((1 << n) - 1) & ~terminated
+    obe = fair_set(M.OBE, *f)
+    hsa = fair_set(M.HSA, *f)
+    lobe = fair_set(M.LOBE, *f)
+    fair = fair_set(M.FAIR, *f)
+    assert fair_set(M.UNFAIR, *f) == 0
     for s in (obe, hsa, lobe, fair):
-        assert s <= alive
-    assert obe <= lobe <= fair
-    assert len(hsa) <= 1
-    assert fair_set(M.HSA_OBE, f) == hsa | obe
+        assert s & ~alive == 0
+    assert obe & ~lobe == 0 and lobe & ~fair == 0
+    assert len(thread_ids(hsa)) <= 1
+    assert fair_set(M.HSA_OBE, *f) == hsa | obe
 
 
-def test_facts_validation():
-    with pytest.raises(ValueError):
-        SchedulerFacts(frozenset({5}), frozenset(), 2)
-    with pytest.raises(ValueError):
-        SchedulerFacts(frozenset(), frozenset({0}), 2)
-    with pytest.raises(ValueError):
-        SchedulerFacts(frozenset(), frozenset(), 0)
+def test_fair_set_matches_naive_on_every_fact_pair():
+    """Every model, every n <= 4 and every terminated within stepped:
+    3**n fact pairs for n threads, 120 in all."""
+    pairs = 0
+    for n in range(1, 5):
+        for stepped in range(1 << n):
+            for terminated in range(1 << n):
+                if terminated & ~stepped:
+                    continue
+                pairs += 1
+                sets = (frozenset(thread_ids(stepped)), frozenset(thread_ids(terminated)))
+                for model in M:
+                    got = frozenset(thread_ids(fair_set(model, stepped, terminated, n)))
+                    want = naive.naive_fair(model.value, *sets, n)
+                    assert got == want, (model, stepped, terminated, n)
+    assert pairs == 120
 
 
 def test_variant_tokens_roundtrip():

@@ -256,3 +256,26 @@ def test_one_monitored_exploration_per_check(idioms, monkeypatch):
     for test in tests:
         check_matrix(test)
     assert calls == {"build_monitored_lts": len(tests), "scc_decompose": 2 * len(tests)}
+
+
+def test_one_fair_set_per_monitored_state_and_model(idioms, monkeypatch):
+    # The benchmark's tracer counts fair sets by wrapping
+    # `progress_lab.lts.fair_set`, so `Lts.fair_sets` must look it up
+    # there once per state; an inlined rule would read 0 there.
+    from progress_lab import lts
+    from progress_lab.lts import build_monitored_lts, build_plain_lts
+
+    calls = 0
+    original = lts.fair_set
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(lts, "fair_set", counting)
+    for name, test in idioms.items():
+        states = len(build_monitored_lts(build_plain_lts(test)))
+        calls = 0
+        check_matrix(test)
+        assert calls == len(MONITORED_MODELS) * states, name
