@@ -34,8 +34,6 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .axb import LitmusTest, relabel_locations
-from .litmus_io import serialize_body
 from .lts import DEFAULT_MAX_STATES
 from .models import (
     Fairness,
@@ -47,6 +45,7 @@ from .models import (
     variant_token,
 )
 from .oracle import check_matrix
+from .synth import canonicalize
 
 WEAK_FAIR = variant_token((ProgressModel.FAIR, Fairness.WEAK))
 STRONG_FAIR = variant_token((ProgressModel.FAIR, Fairness.STRONG))
@@ -73,20 +72,6 @@ class SuiteReport:
         return len(self.weak_tests) / classified if classified else 0.0
 
 
-def _orbit_key(test: LitmusTest) -> str:
-    """Body text with locations renamed in order of first use, thread 0's
-    instructions first.  Two tests share a key exactly when one is a
-    location relabeling of the other; unused locations stay unused, and
-    `num_locations` and `value_domain` remain part of the text."""
-    perm: dict[int, int] = {}
-    for thread in test.threads:
-        for ins in thread:
-            perm.setdefault(ins.loc, len(perm))
-    return serialize_body(
-        relabel_locations(test.threads, perm), test.num_locations, test.value_domain
-    )
-
-
 def classify_suite(
     tests,
     hierarchy: Hierarchy | None = None,
@@ -103,10 +88,11 @@ def classify_suite(
     tests raises ValueError.
 
     `check_matrix` runs once per location orbit (see the module
-    docstring): on its first test in suite order, and every later member
-    gets its own copy of that row.  A test whose check raises is recorded
-    in `errors` and shares nothing, so each later member of its orbit is
-    checked itself and an error names its own test.
+    docstring), keyed by `synth.canonicalize`: on its first test in suite
+    order, and every later member gets its own copy of that row.  A test
+    whose check raises is recorded in `errors` and shares nothing, so
+    each later member of its orbit is checked itself and an error names
+    its own test.
     """
     started = time.perf_counter()
     if hierarchy is None:
@@ -120,7 +106,7 @@ def classify_suite(
     errors: dict[str, str] = {}
     checked: dict[str, str] = {}  # orbit key -> name of the test checked
     for test in tests:
-        key = _orbit_key(test)
+        key = canonicalize(test)
         if key in checked:
             matrix[test.name] = dict(matrix[checked[key]])
             continue

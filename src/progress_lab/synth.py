@@ -25,10 +25,10 @@ Dedup keys are canonical body text.  `_tables` renders each program's
 instruction lines once (`litmus_io.serialize_program`), and the key of
 an accepted thread order joins those texts (`litmus_io.join_body`), the
 same serializer `serialize_body` uses, so no candidate test is built.
-Only symmetry reduction, which keeps the least text over location
-relabelings (`axb.relabel_locations`, shared with `classify`), goes
-through `canonicalize`.  Each unique body is parsed once at the end to
-build its test.
+Only symmetry reduction goes through `canonicalize`, which renames
+locations in order of first use; `classify` keys its location orbits
+by the same text.  Each unique body is parsed once at the end to build
+its test.
 
 Only one candidate per thread-permutation orbit is checked (thread
 symmetry reduction, as in Emerson & Sistla and Ip & Dill, FMSD 1996).
@@ -316,12 +316,21 @@ def _check_candidate(
 
 
 def canonicalize(test: LitmusTest) -> str:
-    """The least body text over all location relabelings, so
-    location-swapped twins collapse; the name never participates."""
-    nl, vd = test.num_locations, test.value_domain
-    return min(
-        serialize_body(relabel_locations(test.threads, perm), nl, vd)
-        for perm in itertools.permutations(range(nl))
+    """Body text with locations renamed in order of first use, thread 0's
+    instructions first; the name never participates.
+
+    Two tests share it exactly when one is a location relabeling of the
+    other; unused locations stay unused, and `num_locations` and
+    `value_domain` remain part of the text.  While every location label
+    is one digit (up to 10 locations) it is also the least body text over
+    all relabelings, since the texts differ only in those digits.
+    """
+    perm: dict[int, int] = {}
+    for thread in test.threads:
+        for ins in thread:
+            perm.setdefault(ins.loc, len(perm))
+    return serialize_body(
+        relabel_locations(test.threads, perm), test.num_locations, test.value_domain
     )
 
 
