@@ -277,11 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    level = getattr(logging, args.log_level.upper())
     logging.basicConfig(
-        level=getattr(logging, args.log_level.upper()),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
+        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
+    # basicConfig does nothing once the host has a root handler; the
+    # package's own level still applies, and records reach the host's handlers.
+    logging.getLogger("progress_lab").setLevel(level)
     try:
         if args.command == "synth":
             return _cmd_synth(args)

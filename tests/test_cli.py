@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
@@ -164,6 +165,25 @@ def test_classify_logs_its_summary_at_info(suite22, tmp_path, capsys):
         r"INFO progress_lab\.classify: classified 20 tests: 10 location orbits checked, "
         r"0 errors, \d+\.\d\d s\n",
         proc.stderr,
+    )
+
+
+@pytest.fixture
+def package_log_level():
+    yield
+    logging.getLogger("progress_lab").setLevel(logging.NOTSET)
+
+
+def test_log_level_applies_in_process(suite22, tmp_path, caplog, package_log_level):
+    # The test runner has already given the root logger handlers, so
+    # `basicConfig` alone would leave the package's info line unlogged.
+    argv = ["--log-level", "info", "classify", "--suite", str(suite22), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    [record] = [r for r in caplog.records if r.name == "progress_lab.classify"]
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(
+        r"classified 20 tests: 10 location orbits checked, 0 errors, \d+\.\d\d s",
+        record.getMessage(),
     )
 
 
