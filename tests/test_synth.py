@@ -6,7 +6,7 @@ import pytest
 
 import naive
 from conftest import IDIOM_LTS_SIZES, SUITE_CANDIDATES, SUITE_CAPS, SUITE_UNIQUE
-from progress_lab.axb import AxbInstruction, LitmusTest
+from progress_lab.axb import AxbInstruction, LitmusTest, relabel_locations
 from progress_lab.litmus_io import serialize_body
 from progress_lab.lts import build_plain_lts
 from progress_lab.models import UNFAIR_VARIANT, Fairness, ProgressModel, variant_token
@@ -270,6 +270,58 @@ def test_thread_permutations_share_verdicts():
                     sorted_verdicts[key] = verdict(*zip(*key))
                 assert verdict(comp, idx) == sorted_verdicts[key], (comp, idx)
     assert checked == SUITE_CANDIDATES[(2, 3)] + SUITE_CANDIDATES[(3, 3)]
+
+
+def _prefilter_reason(cand):
+    """The syntactic prefilter `_span_worker` applies before checking, from
+    each program's `_program_props`: its rejection reason, or None."""
+    props = [c[2] for c in cand]
+    if not any(p[0] for p in props):
+        return "no_nontermination_cycle"
+    written = twice = 0
+    for p in props:
+        twice |= written & p[2]
+        written |= p[2]
+    if any(p[1] & (twice | (written & ~p[2])) for p in props):
+        return None
+    return "no_cross_thread_influence"
+
+
+def test_location_relabelings_share_verdicts():
+    # Memory starts all zero, so renaming locations maps a candidate's
+    # plain LTS onto an isomorphic one.  Every candidate of the whole
+    # (2,3) and (3,3) spaces, at 2 and at 3 locations, built as
+    # _span_worker builds it, must get the prefilter outcome, verdict and
+    # LTS size of each of its location relabelings.
+    checked = 0
+    for bounds in ((2, 3), (3, 3)):
+        for nl in (2, 3):
+            for comp in compositions(bounds[1], bounds[0]):
+                vl, lanes, positions = _tables(comp, nl, 2)
+                index = [{e[0]: i for i, e in enumerate(p)} for p in positions]
+                # relabeled[perm][k][i]: the index of program i of thread k
+                # with its locations renamed by perm
+                relabeled = [
+                    [
+                        [index[k][relabel_locations((e[0],), perm)[0]] for e in p]
+                        for k, p in enumerate(positions)
+                    ]
+                    for perm in itertools.permutations(range(nl))
+                ]
+                verdicts = {}
+                for idx in itertools.product(*(range(len(p)) for p in positions)):
+                    cand = tuple(p[i] for p, i in zip(positions, idx))
+                    verdicts[idx] = (
+                        _prefilter_reason(cand),
+                        _check_candidate(cand, vl, lanes, *SUITE_CAPS[bounds]),
+                    )
+                for idx, verdict in verdicts.items():
+                    checked += 1
+                    for tables in relabeled:
+                        image = tuple(t[i] for t, i in zip(tables, idx))
+                        assert verdicts[image] == verdict, (nl, comp, idx, image)
+    # 2 locations: the frozen spaces; 3 locations: 109,350 and 19,683
+    assert checked == SUITE_CANDIDATES[(2, 3)] + SUITE_CANDIDATES[(3, 3)] + 109_350 + 19_683
 
 
 def test_representatives_cover_every_candidate_once():
