@@ -19,7 +19,7 @@ The checker works on integer-packed states (memory digits plus one
 program counter per thread) and steps them by table lookup; the tables
 are derived from the AXB rule (`axb.execute`) once per composition.
 On one core of a 2-core host (Python 3.11), (3,4) with 874,800
-candidates takes about 5 s and (2,4) with 3,477,168 about 20 s.
+candidates takes 2.0-2.5 s and (2,4) with 3,477,168 about 13 s.
 
 Dedup keys are canonical body text.  `_tables` renders each program's
 instruction lines once (`litmus_io.serialize_program`), and the key of
@@ -30,24 +30,44 @@ locations in order of first use; `classify` keys its location orbits
 by the same text.  Each unique body is parsed once at the end to build
 its test.
 
-Only one candidate per thread-permutation orbit is checked (thread
-symmetry reduction, as in Emerson & Sistla and Ip & Dill, FMSD 1996).
-A thread's program options depend only on its length and the
-instruction index, so every permutation of a candidate is a candidate.
-Permuting threads permutes the pc lanes of the plain LTS and nothing
-else, so the LTS stays isomorphic: the state and action counts, end
-reachability, the cycle and the branch outcomes covered are all the
-same, and so are both syntactic prefilters.  The representative has a
-nonincreasing composition and nondecreasing program indices within each
-run of equal thread lengths; its verdict counts once per permutation,
-and an accepted one is expanded into every distinct permutation before
-dedup.  Each permutation gives one body, so no worker counts duplicates:
-they are the candidates left over after the rejections and the unique
-tests.  Putting the longest thread first gives `jobs > 1` the most
-first-thread programs to slice, and when that length is unique in the
-composition every slice holds equally many orbits.  The suite stays
-thread-distinct, since thread ids decide the OBE, LOBE and HSA verdicts;
-only the checking work shrinks.
+Only one candidate per orbit under thread permutations and location
+relabelings is checked (symmetry reduction over two scalarsets, as in
+Emerson & Sistla and Ip & Dill, FMSD 1996).  A thread's program options
+depend only on its length and the instruction index, and every location
+has the same options, so every permutation or relabeling of a candidate
+is a candidate.  Permuting threads permutes the pc lanes of the plain
+LTS; since memory starts all zero, renaming locations permutes its
+memory digits and keeps the initial state.  Either way the LTS stays
+isomorphic: the state and action counts, end reachability, the cycle
+and the branch outcomes covered are all the same, and so are both
+syntactic prefilters.
+
+A thread-orbit representative has a nonincreasing composition and
+nondecreasing program indices within each run of equal thread lengths.
+Of those, only the least of its location images, each re-sorted within
+runs, is checked (`_orbit_representatives`).  `_instruction_options`
+puts the location in the most significant digit of an option, so the
+least image uses its locations in order of first use, thread 0's
+instructions first: swapping the first out-of-order label with the
+expected one leaves every earlier instruction alone and makes the
+program holding the swapped instruction strictly smaller, and
+re-sorting only lowers a tuple further.  A tuple out of first-use order
+is dropped by table lookup, and one in order is compared only with its
+images under the permutations of the `u` locations it uses, read from
+per-permutation index tables (`_location_tables`); the work per
+representative grows with `u!`, never with `num_locations!`.  Its
+verdict counts once per thread permutation of each distinct location
+image: `num_locations! / (num_locations - u)!` images over the used
+location permutations that map it onto itself.  An accepted one is
+expanded into every thread order of every image (`_location_images`)
+before dedup; under symmetry reduction its own thread orders suffice,
+since every image has the same `canonicalize` text.  Each candidate
+gives one body, so no worker counts duplicates: they are the candidates
+left over after the rejections and the unique tests.  Putting the
+longest thread first gives `jobs > 1` the most first-thread programs
+to slice.  The suite stays thread- and location-distinct, since thread
+ids decide the OBE, LOBE and HSA verdicts and locations name the
+output; only the checking work shrinks.
 """
 
 from __future__ import annotations
@@ -103,7 +123,7 @@ class SynthConfig:
 @dataclass(frozen=True, slots=True)
 class SynthStats:
     candidates: int
-    explored: int  # candidates run through `_check_candidate`
+    explored: int  # orbit representatives checked
     rejected: dict[str, int]
     duplicates: int
     unique: int
@@ -334,6 +354,157 @@ def canonicalize(test: LitmusTest) -> str:
     )
 
 
+def _relabel_index(index: int, digits, f) -> int:
+    """Program `index` with each location `loc` renamed `f[loc]`.  `digits`
+    holds (options, options per location) per instruction, last first: an
+    option's location is its most significant digit."""
+    out = 0
+    weight = 1
+    for radix, per_loc in digits:
+        index, opt = divmod(index, radix)
+        loc, rest = divmod(opt, per_loc)
+        out += (f[loc] * per_loc + rest) * weight
+        weight *= radix
+    return out
+
+
+def _run_slices(comp) -> list[tuple[int, int]]:
+    """(start, end) of each run of two or more equal thread lengths."""
+    slices = []
+    start = 0
+    for _, g in itertools.groupby(comp):
+        end = start + len(list(g))
+        if end - start > 1:
+            slices.append((start, end))
+        start = end
+    return slices
+
+
+@functools.lru_cache(maxsize=1)
+def _location_tables(comp, num_locations: int, value_domain: int):
+    """Integer tables for the location orbits of one composition.
+
+    With `m` the most locations a candidate can use, returns:
+    - `first_use[k][i][u]`: given that the threads before `k` use exactly
+      locations 0..u-1, how many thread `k`'s program `i` brings the count
+      to, or `m + 1` if it first uses a location above the next one
+      (`m + 1` stays `m + 1`);
+    - `images[u0][u]`: per permutation of locations u0..u-1 other than
+      the identity, the image index of every program of every thread; all
+      empty when no two threads have equal lengths, since no re-sort can
+      then make an image of a first-use ordered candidate smaller;
+    - `digits[k]`: thread `k`'s program digits for `_relabel_index`.
+    """
+    m = min(num_locations, sum(comp))
+    fail = m + 1
+
+    def count_after(locs, u):
+        for loc in locs:
+            if u == fail or loc > u:
+                return fail
+            u += loc == u
+        return u
+
+    per_length = {}
+    for length in set(comp):
+        opts = [
+            _instruction_options(length, i, num_locations, value_domain) for i in range(length)
+        ]
+        rows = {
+            locs: tuple(count_after(locs, u) for u in range(fail + 1))
+            for locs in itertools.product(range(num_locations), repeat=length)
+        }
+        first_use = tuple(
+            map(rows.__getitem__, itertools.product(*([o.loc for o in opt] for opt in opts)))
+        )
+        digits = tuple((len(opt), len(opt) // num_locations) for opt in reversed(opts))
+        per_length[length] = first_use, digits
+
+    images = [[() for _ in range(m + 1)] for _ in range(m + 1)]
+    if _run_slices(comp):
+        tables = {}
+        for u0, u in itertools.combinations(range(m + 1), 2):
+            perms = []
+            # every permutation but the identity, which comes first
+            for perm in itertools.islice(itertools.permutations(range(u0, u)), 1, None):
+                f = (*range(u0), *perm, *range(u, num_locations))
+                for length in set(comp):
+                    if (length, f) not in tables:
+                        first_use, digits = per_length[length]
+                        tables[length, f] = tuple(
+                            _relabel_index(i, digits, f) for i in range(len(first_use))
+                        )
+                perms.append(tuple(tables[length, f] for length in comp))
+            images[u0][u] = tuple(perms)
+    return (
+        tuple(per_length[length][0] for length in comp),
+        tuple(map(tuple, images)),
+        tuple(per_length[length][1] for length in comp),
+    )
+
+
+def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int, hi: int):
+    """(program indices, distinct location images) per representative
+    under thread permutations and location relabelings whose first index
+    lies in [lo, hi).
+
+    A representative is a `_representatives` tuple that is the least of
+    its location images, each re-sorted within runs of equal thread
+    lengths.  The least image uses locations in first-use order (see the
+    module docstring), so failing `first_use` drops a tuple, and a first
+    program out of that order drops every tuple it starts.  Only the
+    permutations of the used locations remain to compare, and when the
+    first thread is alone in its run, only the ones fixing the locations
+    it uses: moving one makes the first index larger.
+    """
+    first_use, images, _ = _location_tables(comp, num_locations, value_domain)
+    counts = [len(f) for f in first_use]
+    fail = len(first_use[0][0]) - 1
+    injections = [math.perm(num_locations, u) for u in range(fail)]
+    sort_runs = _run_slices(comp)
+    lone = not sort_runs or sort_runs[0][0] > 0
+    for first, group in itertools.groupby(range(lo, hi), lambda i: first_use[0][i][0]):
+        if first == fail:
+            continue
+        group = list(group)
+        perms_by_u = images[first if lone else 0]
+        for idx in _representatives(comp, counts, group[0], group[-1] + 1):
+            u = 0
+            for t, i in zip(first_use, idx):
+                u = t[i][u]
+            if u == fail:
+                continue
+            stab = 1
+            for tables in perms_by_u[u]:
+                image = [t[i] for t, i in zip(tables, idx)]
+                for s, e in sort_runs:
+                    image[s:e] = sorted(image[s:e])
+                image = tuple(image)
+                if image < idx:
+                    break
+                stab += image == idx
+            else:
+                yield idx, injections[u] // stab
+
+
+def _location_images(comp, idx, num_locations: int, value_domain: int):
+    """The distinct images of a first-use ordered `idx` under every
+    renaming of its used locations into all of them, each re-sorted
+    within runs of equal thread lengths, in order of first appearance."""
+    first_use, _, digits = _location_tables(comp, num_locations, value_domain)
+    u = 0
+    for t, i in zip(first_use, idx):
+        u = t[i][u]
+    sort_runs = _run_slices(comp)
+    out = {}
+    for f in itertools.permutations(range(num_locations), u):
+        image = [_relabel_index(i, d, f) for d, i in zip(digits, idx)]
+        for s, e in sort_runs:
+            image[s:e] = sorted(image[s:e])
+        out.setdefault(tuple(image), None)
+    return list(out)
+
+
 def _representatives(comp, counts, lo, hi):
     """Program-index tuples of a nonincreasing composition, one per
     thread-permutation orbit: the first index lies in [lo, hi), and
@@ -375,7 +546,8 @@ def _thread_orders(comp, idx):
 
 def _span_worker(args):
     """Check every orbit whose representative's first-thread program
-    falls in a slice, crediting its verdict to the whole orbit.
+    falls in a slice, crediting its verdict to the whole orbit: the
+    thread-permutation orbit of each distinct location image.
 
     Returns (candidate count, rejection counters, {canonical body:
     (states, actions)}, `_check_candidate` calls).  Duplicates are not
@@ -395,8 +567,8 @@ def _span_worker(args):
     has_run = len(set(comp)) < n
     full_orbit = math.factorial(n)
 
-    for idx in _representatives(comp, [len(p) for p in positions], lo, hi):
-        orbit = _orbit_size(comp, idx) if has_run else full_orbit
+    for idx, images in _orbit_representatives(comp, nl, vd, lo, hi):
+        orbit = (_orbit_size(comp, idx) if has_run else full_orbit) * images
         candidates += orbit
         cand = tuple(map(operator.getitem, positions, idx))
         # A cycle needs a thread that can revisit a pc.  Influence needs a
@@ -426,13 +598,16 @@ def _span_worker(args):
         if reason is not None:
             rejected[reason] += orbit
             continue
-        for order in _thread_orders(comp, idx):
-            if config.symmetry_reduction:
+        if config.symmetry_reduction:
+            # Every location image has the representative's canonical text.
+            for order in _thread_orders(comp, idx):
                 test = LitmusTest("candidate", nl, vd, tuple(cand[k][0] for k in order))
-                body = canonicalize(test)
-            else:
-                body = join_body([cand[k][3] for k in order], nl, vd)
-            accepted.setdefault(body, (n_states, n_actions))
+                accepted.setdefault(canonicalize(test), (n_states, n_actions))
+            continue
+        for image in _location_images(comp, idx, nl, vd):
+            for order in _thread_orders(comp, image):
+                body = join_body([positions[k][image[k]][3] for k in order], nl, vd)
+                accepted.setdefault(body, (n_states, n_actions))
     return candidates, rejected, accepted, explored
 
 
@@ -449,13 +624,15 @@ def synthesize(config: SynthConfig) -> SynthResult:
 
     tasks = []
     for comp in comps:
-        total_first = math.prod(
-            len(_instruction_options(comp[0], i, config.num_locations, config.value_domain))
-            for i in range(comp[0])
-        )
-        span = total_first if config.jobs == 1 else -(-total_first // (4 * config.jobs))
-        for lo in range(0, total_first, span):
-            tasks.append((config, comp, lo, min(lo + span, total_first)))
+        # A first program out of first-use order starts no representative,
+        # so the slices share out only the others.  An accepted one adds
+        # the bodies of all its location images to its slice's result;
+        # eight slices per job keep a worker's largest result small.
+        first_use = _location_tables(comp, config.num_locations, config.value_domain)[0][0]
+        starts = [i for i, row in enumerate(first_use) if row[0] < len(row) - 1]
+        span = len(starts) if config.jobs == 1 else -(-len(starts) // (8 * config.jobs))
+        for k in range(0, len(starts), span):
+            tasks.append((config, comp, starts[k], starts[min(k + span, len(starts)) - 1] + 1))
 
     if config.jobs == 1:
         outcomes = [_span_worker(t) for t in tasks]

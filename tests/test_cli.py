@@ -34,7 +34,7 @@ def test_synth_outputs(suite22, capsys):
     stats = json.loads((suite22 / "stats.json").read_text())
     assert stats["config"]["threads"] == 2
     assert stats["candidates"] == 324
-    assert stats["explored"] == 60  # one check per orbit past the prefilters
+    assert stats["explored"] == 30  # one check per thread-and-location orbit past the prefilters
     assert stats["unique"] == 20
 
 

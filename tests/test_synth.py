@@ -14,6 +14,8 @@ from progress_lab.oracle import check_matrix
 from progress_lab.synth import (
     SynthConfig,
     _check_candidate,
+    _location_images,
+    _orbit_representatives,
     _orbit_size,
     _representatives,
     _tables,
@@ -130,6 +132,10 @@ def test_parallel_equals_serial(suites):
     for bounds in ((2, 3), (3, 3)):
         serial = synthesize(SynthConfig(*bounds, symmetry_reduction=True))
         runs.append((serial, SynthConfig(*bounds, symmetry_reduction=True, jobs=2)))
+    # At three locations a representative's location images start with
+    # first-thread programs of other slices.
+    serial = synthesize(SynthConfig(3, 3, num_locations=3))
+    runs.append((serial, SynthConfig(3, 3, num_locations=3, jobs=2)))
     for serial, config in runs:
         par = synthesize(config)
         assert [t.threads for t in par.tests] == [t.threads for t in serial.tests]
@@ -325,7 +331,7 @@ def test_location_relabelings_share_verdicts():
 
 
 def test_representatives_cover_every_candidate_once():
-    # Expanding each orbit representative into its distinct thread
+    # Expanding each thread-orbit representative into its distinct thread
     # permutations gives the whole candidate space, each candidate once.
     for bounds in ((2, 2), (2, 3), (3, 3)):
         comps = compositions(bounds[1], bounds[0])
@@ -348,3 +354,34 @@ def test_representatives_cover_every_candidate_once():
                 expanded += [tuple(keys[k] for k in order) for order in orders]
         assert sorted(expanded) == sorted(space)
         assert orbits == len(space) == SUITE_CANDIDATES[bounds]
+    # Expanding each kept representative of the combined orbits into its
+    # distinct location images, and each image into its distinct thread
+    # permutations, gives the whole space once too, and the orbit sizes
+    # _span_worker credits add up to it.
+    for nl in (2, 3):
+        for bounds in ((2, 2), (2, 3), (3, 3)):
+            comps = compositions(bounds[1], bounds[0])
+            counts = {comp: [len(p) for p in _tables(comp, nl, 2)[2]] for comp in comps}
+            space = [
+                tuple(zip(comp, idx))
+                for comp in comps
+                for idx in itertools.product(*map(range, counts[comp]))
+            ]
+            expanded = []
+            credited = 0
+            for comp in comps:
+                if list(comp) != sorted(comp, reverse=True):
+                    continue
+                for idx, images in _orbit_representatives(comp, nl, 2, 0, counts[comp][0]):
+                    credited += _orbit_size(comp, idx) * images
+                    located = _location_images(comp, idx, nl, 2)
+                    assert located[0] == idx and len(located) == images, (comp, idx)
+                    for image in located:
+                        keys = tuple(zip(comp, image))
+                        orders = _thread_orders(comp, image)
+                        assert len(orders) == _orbit_size(comp, idx), keys
+                        expanded += [tuple(keys[k] for k in order) for order in orders]
+            assert sorted(expanded) == sorted(space), (nl, bounds)
+            assert credited == len(space)
+            if nl == 2:
+                assert credited == SUITE_CANDIDATES[bounds]
