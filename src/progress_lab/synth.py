@@ -19,7 +19,7 @@ The checker works on integer-packed states (memory digits plus one
 program counter per thread) and steps them by table lookup; the tables
 are derived from the AXB rule (`axb.execute`) once per composition.
 On one core of a 2-core host (Python 3.11), (3,4) with 874,800
-candidates takes 2.0-2.5 s and (2,4) with 3,477,168 about 13 s.
+candidates takes 2-3 s and (2,4) with 3,477,168 about 13 s.
 
 Dedup keys are canonical body text.  `_tables` renders each program's
 instruction lines once (`litmus_io.serialize_program`), and the key of
