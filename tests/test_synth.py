@@ -183,6 +183,25 @@ def test_symmetry_reduction_halves_single_location_suite(small):
     assert bodies == canon
 
 
+def test_symmetry_reduction_keeps_one_test_per_location_orbit(suites):
+    # With one or two jobs, a reduced run keeps exactly the canonical
+    # bodies of the full suite, each with its orbit's LTS size, and counts
+    # the same candidates, checks and rejections as the full run.
+    for bounds, nl in (((2, 3), 2), ((2, 3), 3), ((3, 3), 2), ((3, 3), 3), ((2, 3), 5)):
+        full = suites(*bounds) if nl == 2 else synthesize(SynthConfig(*bounds, num_locations=nl))
+        sizes = {}
+        for t, size in zip(full.tests, full.lts_sizes):
+            assert sizes.setdefault(canonicalize(t), size) == size, t.name
+        for jobs in (1, 2):
+            config = SynthConfig(*bounds, num_locations=nl, symmetry_reduction=True, jobs=jobs)
+            reduced = synthesize(config)
+            bodies = [serialize_body(t.threads, nl, 2) for t in reduced.tests]
+            assert bodies == sorted(sizes), config
+            assert list(reduced.lts_sizes) == [sizes[b] for b in bodies], config
+            for key in ("candidates", "explored", "rejected"):
+                assert getattr(reduced.stats, key) == getattr(full.stats, key), (config, key)
+
+
 def test_canonicalize_maps_twins_together():
     a = LitmusTest("a", 2, 2, ((I(0, 0, 1, 1),), (I(0, 0, 0, None),)))
     b = LitmusTest("b", 2, 2, ((I(1, 0, 1, 1),), (I(1, 0, 0, None),)))
