@@ -21,14 +21,11 @@ are derived from the AXB rule (`axb.execute`) once per composition.
 On one core of a 2-core host (Python 3.11), (3,4) with 874,800
 candidates takes 2-3 s and (2,4) with 3,477,168 about 13 s.
 
-Dedup keys are canonical body text.  `_tables` renders each program's
+Dedup keys are body text.  `_tables` renders each program's
 instruction lines once (`litmus_io.serialize_program`), and the key of
-an accepted thread order joins those texts (`litmus_io.join_body`), the
+an accepted candidate joins those texts (`litmus_io.join_body`), the
 same serializer `serialize_body` uses, so no candidate test is built.
-Only symmetry reduction goes through `canonicalize`, which renames
-locations in order of first use; `classify` keys its location orbits
-by the same text.  Each unique body is parsed once at the end to build
-its test.
+Each unique body is parsed once at the end to build its test.
 
 Only one candidate per orbit under thread permutations and location
 relabelings is checked (symmetry reduction over two scalarsets, as in
@@ -42,32 +39,34 @@ isomorphic: the state and action counts, end reachability, the cycle
 and the branch outcomes covered are all the same, and so are both
 syntactic prefilters.
 
-A thread-orbit representative has a nonincreasing composition and
-nondecreasing program indices within each run of equal thread lengths.
-Of those, only the least of its location images, each re-sorted within
-runs, is checked (`_orbit_representatives`).  `_instruction_options`
-puts the location in the most significant digit of an option, so the
-least image uses its locations in order of first use, thread 0's
-instructions first: swapping the first out-of-order label with the
-expected one leaves every earlier instruction alone and makes the
-program holding the swapped instruction strictly smaller, and
-re-sorting only lowers a tuple further.  A tuple out of first-use order
-is dropped by table lookup, and one in order is compared only with its
-images under the permutations of the `u` locations it uses, read from
-per-permutation index tables (`_location_tables`); the work per
-representative grows with `u!`, never with `num_locations!`.  Its
-verdict counts once per thread permutation of each distinct location
-image: `num_locations! / (num_locations - u)!` images over the used
-location permutations that map it onto itself.  An accepted one is
-expanded into every thread order of every image (`_location_images`)
-before dedup; under symmetry reduction its own thread orders suffice,
-since every image has the same `canonicalize` text.  Each candidate
-gives one body, so no worker counts duplicates: they are the candidates
-left over after the rejections and the unique tests.  Putting the
-longest thread first gives `jobs > 1` the most first-thread programs
-to slice.  The suite stays thread- and location-distinct, since thread
-ids decide the OBE, LOBE and HSA verdicts and locations name the
-output; only the checking work shrinks.
+An orbit's representative has a nonincreasing composition and
+nondecreasing program indices within each run of equal thread lengths,
+and it is the least of its location images, each re-sorted within those
+runs (`_orbit_representatives`).  `_instruction_options` puts the
+location in the most significant digit of an option, so the least image
+uses its locations in order of first use, thread 0's instructions
+first: swapping the first out-of-order label with the expected one
+leaves every earlier instruction alone and makes the program holding
+the swapped instruction strictly smaller, and re-sorting only lowers a
+tuple further.  A tuple out of first-use order is dropped by table
+lookup, and one in order is compared only with its images under the
+permutations of the `u` locations it uses, read from per-permutation
+index tables (`_location_tables`); the work per representative grows
+with `u!`, never with `num_locations!`.  Its verdict counts once per
+member of its orbit: each distinct thread order of each distinct
+location image, of which there are `num_locations! / (num_locations -
+u)!` over the used location permutations that map it onto itself.  An
+accepted one is expanded into its members (`_orbit_members`) before
+dedup.  Symmetry reduction keeps only the members whose locations are
+in first-use order: those bodies are exactly the `canonicalize` texts of
+the orbit, since a member's canonical form is itself a member.
+`classify` keys its location orbits by the same text.  An accepted
+member gives at most one body, so no worker counts duplicates: they are
+the candidates left over after the rejections and the unique tests.
+Putting the longest thread first gives `jobs > 1` the most first-thread
+programs to slice.  Without symmetry reduction the suite stays thread-
+and location-distinct, since thread ids decide the OBE, LOBE and HSA
+verdicts and locations name the output; only the checking work shrinks.
 """
 
 from __future__ import annotations
@@ -368,18 +367,6 @@ def _relabel_index(index: int, digits, f) -> int:
     return out
 
 
-def _run_slices(comp) -> list[tuple[int, int]]:
-    """(start, end) of each run of two or more equal thread lengths."""
-    slices = []
-    start = 0
-    for _, g in itertools.groupby(comp):
-        end = start + len(list(g))
-        if end - start > 1:
-            slices.append((start, end))
-        start = end
-    return slices
-
-
 @functools.lru_cache(maxsize=1)
 def _location_tables(comp, num_locations: int, value_domain: int):
     """Integer tables for the location orbits of one composition.
@@ -393,7 +380,8 @@ def _location_tables(comp, num_locations: int, value_domain: int):
       the identity, the image index of every program of every thread; all
       empty when no two threads have equal lengths, since no re-sort can
       then make an image of a first-use ordered candidate smaller;
-    - `digits[k]`: thread `k`'s program digits for `_relabel_index`.
+    - `digits[k]`: thread `k`'s program digits for `_relabel_index`;
+    - `runs`: (start, end) of each run of equal thread lengths.
     """
     m = min(num_locations, sum(comp))
     fail = m + 1
@@ -420,8 +408,10 @@ def _location_tables(comp, num_locations: int, value_domain: int):
         digits = tuple((len(opt), len(opt) // num_locations) for opt in reversed(opts))
         per_length[length] = first_use, digits
 
+    ends = list(itertools.accumulate(len(list(g)) for _, g in itertools.groupby(comp)))
+    runs = tuple(zip((0, *ends), ends))
     images = [[() for _ in range(m + 1)] for _ in range(m + 1)]
-    if _run_slices(comp):
+    if len(runs) < len(comp):
         tables = {}
         for u0, u in itertools.combinations(range(m + 1), 2):
             perms = []
@@ -440,35 +430,48 @@ def _location_tables(comp, num_locations: int, value_domain: int):
         tuple(per_length[length][0] for length in comp),
         tuple(map(tuple, images)),
         tuple(per_length[length][1] for length in comp),
+        runs,
     )
 
 
 def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int, hi: int):
-    """(program indices, distinct location images) per representative
-    under thread permutations and location relabelings whose first index
-    lies in [lo, hi).
+    """(program indices, orbit size) per orbit under thread permutations
+    and location relabelings whose representative's first index lies in
+    [lo, hi).
 
-    A representative is a `_representatives` tuple that is the least of
-    its location images, each re-sorted within runs of equal thread
-    lengths.  The least image uses locations in first-use order (see the
+    A representative never decreases within a run of equal thread lengths
+    and is the least of its location images, each re-sorted within those
+    runs.  The least image uses locations in first-use order (see the
     module docstring), so failing `first_use` drops a tuple, and a first
     program out of that order drops every tuple it starts.  Only the
     permutations of the used locations remain to compare, and when the
     first thread is alone in its run, only the ones fixing the locations
-    it uses: moving one makes the first index larger.
+    it uses: moving one makes the first index larger.  The orbit size is
+    the number of distinct thread orders (n! over the factorial of each
+    run of equal indices) times the number of distinct location images.
     """
-    first_use, images, _ = _location_tables(comp, num_locations, value_domain)
-    counts = [len(f) for f in first_use]
+    first_use, images, _, runs = _location_tables(comp, num_locations, value_domain)
+    counts = [len(t) for t in first_use]
     fail = len(first_use[0][0]) - 1
     injections = [math.perm(num_locations, u) for u in range(fail)]
-    sort_runs = _run_slices(comp)
-    lone = not sort_runs or sort_runs[0][0] > 0
-    for first, group in itertools.groupby(range(lo, hi), lambda i: first_use[0][i][0]):
-        if first == fail:
+    sort_runs = [(s, e) for s, e in runs if e - s > 1]
+    head = runs[0][1]
+    later = [
+        list(itertools.combinations_with_replacement(range(counts[s]), e - s))
+        for s, e in runs[1:]
+    ]
+    threads = math.factorial(len(comp))
+    for first in range(lo, hi):
+        u = first_use[0][first][0]
+        if u == fail:
             continue
-        group = list(group)
-        perms_by_u = images[first if lone else 0]
-        for idx in _representatives(comp, counts, group[0], group[-1] + 1):
+        perms_by_u = images[u if head == 1 else 0]
+        # The pool is copied per call, so a lone first thread skips it.
+        heads = [()]
+        if head > 1:
+            heads = itertools.combinations_with_replacement(range(first, counts[0]), head - 1)
+        for parts in itertools.product(heads, *later):
+            idx = (first, *itertools.chain.from_iterable(parts))
             u = 0
             for t, i in zip(first_use, idx):
                 u = t[i][u]
@@ -484,91 +487,61 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
                     break
                 stab += image == idx
             else:
-                yield idx, injections[u] // stab
+                orders = threads
+                for s, e in sort_runs:
+                    run = 1
+                    for k in range(s + 1, e):
+                        run = run + 1 if idx[k] == idx[k - 1] else 1
+                        orders //= run
+                yield idx, orders * (injections[u] // stab)
 
 
-def _location_images(comp, idx, num_locations: int, value_domain: int):
-    """The distinct images of a first-use ordered `idx` under every
-    renaming of its used locations into all of them, each re-sorted
-    within runs of equal thread lengths, in order of first appearance."""
-    first_use, _, digits = _location_tables(comp, num_locations, value_domain)
+def _orbit_members(comp, idx, num_locations: int, value_domain: int):
+    """Each member of the orbit of representative `idx` once, as
+    (thread position, program index) pairs in the member's thread order;
+    `idx` itself comes first.  The distinct location images under every
+    renaming of its used locations, each re-sorted within runs of equal
+    thread lengths, are found first, then each one's distinct thread
+    orders."""
+    first_use, _, digits, runs = _location_tables(comp, num_locations, value_domain)
     u = 0
     for t, i in zip(first_use, idx):
         u = t[i][u]
-    sort_runs = _run_slices(comp)
-    out = {}
+    images = {}
     for f in itertools.permutations(range(num_locations), u):
         image = [_relabel_index(i, d, f) for d, i in zip(digits, idx)]
-        for s, e in sort_runs:
+        for s, e in runs:
             image[s:e] = sorted(image[s:e])
-        out.setdefault(tuple(image), None)
-    return list(out)
-
-
-def _representatives(comp, counts, lo, hi):
-    """Program-index tuples of a nonincreasing composition, one per
-    thread-permutation orbit: the first index lies in [lo, hi), and
-    within each run of equal thread lengths the indices never decrease.
-    `counts` gives the number of programs per thread."""
-    runs = [len(list(g)) for _, g in itertools.groupby(comp)]
-    starts = list(itertools.accumulate(runs[:-1], initial=0))
-    later = [
-        list(itertools.combinations_with_replacement(range(counts[k]), r))
-        for k, r in zip(starts[1:], runs[1:])
-    ]
-    for first in range(lo, hi):
-        # The pool is copied per call, so a lone first thread skips it.
-        heads = [()]
-        if runs[0] > 1:
-            heads = itertools.combinations_with_replacement(range(first, counts[0]), runs[0] - 1)
-        for parts in itertools.product(heads, *later):
-            yield (first, *itertools.chain.from_iterable(parts))
-
-
-def _orbit_size(comp, idx) -> int:
-    """Number of distinct thread permutations of a representative: n!
-    over the factorial of each run of equal (length, program index),
-    which sit next to each other in a representative."""
-    size = math.factorial(len(comp))
-    run = 1
-    for k in range(1, len(comp)):
-        run = run + 1 if comp[k] == comp[k - 1] and idx[k] == idx[k - 1] else 1
-        size //= run
-    return size
-
-
-def _thread_orders(comp, idx):
-    """One thread order per distinct permutation of a representative."""
-    keys = tuple(zip(comp, idx))
-    orders = {tuple(keys[k] for k in p): p for p in itertools.permutations(range(len(keys)))}
-    return orders.values()
+        images.setdefault(tuple(image), None)
+    for image in images:
+        orders = {}
+        for member in itertools.permutations(enumerate(image)):
+            orders.setdefault(tuple((comp[k], i) for k, i in member), member)
+        yield from orders.values()
 
 
 def _span_worker(args):
     """Check every orbit whose representative's first-thread program
-    falls in a slice, crediting its verdict to the whole orbit: the
-    thread-permutation orbit of each distinct location image.
+    falls in a slice, crediting its verdict to the whole orbit, and join
+    the body of each member of an accepted one.  Under symmetry reduction
+    only the members in first-use order give a body: those are the
+    `canonicalize` texts of all the members.
 
-    Returns (candidate count, rejection counters, {canonical body:
-    (states, actions)}, `_check_candidate` calls).  Duplicates are not
+    Returns (candidate count, rejection counters, {body: (states,
+    actions)}, `_check_candidate` calls).  Duplicates are not
     counted here: `synthesize` derives them from the counters.
     """
     config, comp, lo, hi = args
     nl, vd = config.num_locations, config.value_domain
     vl, lanes, positions = _tables(comp, nl, vd)
+    first_use = _location_tables(comp, nl, vd)[0]
+    fail = len(first_use[0][0]) - 1
 
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     accepted: dict[str, tuple[int, int]] = {}
     candidates = 0
     explored = 0
-    # Only threads of equal length can hold the same program, so without
-    # a run of equal lengths every orbit has n! members.
-    n = len(comp)
-    has_run = len(set(comp)) < n
-    full_orbit = math.factorial(n)
-
-    for idx, images in _orbit_representatives(comp, nl, vd, lo, hi):
-        orbit = (_orbit_size(comp, idx) if has_run else full_orbit) * images
+    for idx, orbit in _orbit_representatives(comp, nl, vd, lo, hi):
         candidates += orbit
         cand = tuple(map(operator.getitem, positions, idx))
         # A cycle needs a thread that can revisit a pc.  Influence needs a
@@ -598,16 +571,15 @@ def _span_worker(args):
         if reason is not None:
             rejected[reason] += orbit
             continue
-        if config.symmetry_reduction:
-            # Every location image has the representative's canonical text.
-            for order in _thread_orders(comp, idx):
-                test = LitmusTest("candidate", nl, vd, tuple(cand[k][0] for k in order))
-                accepted.setdefault(canonicalize(test), (n_states, n_actions))
-            continue
-        for image in _location_images(comp, idx, nl, vd):
-            for order in _thread_orders(comp, image):
-                body = join_body([positions[k][image[k]][3] for k in order], nl, vd)
-                accepted.setdefault(body, (n_states, n_actions))
+        for member in _orbit_members(comp, idx, nl, vd):
+            if config.symmetry_reduction:
+                u = 0
+                for k, i in member:
+                    u = first_use[k][i][u]
+                if u == fail:
+                    continue
+            body = join_body([positions[k][i][3] for k, i in member], nl, vd)
+            accepted.setdefault(body, (n_states, n_actions))
     return candidates, rejected, accepted, explored
 
 
@@ -626,8 +598,8 @@ def synthesize(config: SynthConfig) -> SynthResult:
     for comp in comps:
         # A first program out of first-use order starts no representative,
         # so the slices share out only the others.  An accepted one adds
-        # the bodies of all its location images to its slice's result;
-        # eight slices per job keep a worker's largest result small.
+        # the bodies of all its members to its slice's result; eight
+        # slices per job keep a worker's largest result small.
         first_use = _location_tables(comp, config.num_locations, config.value_domain)[0][0]
         starts = [i for i, row in enumerate(first_use) if row[0] < len(row) - 1]
         span = len(starts) if config.jobs == 1 else -(-len(starts) // (8 * config.jobs))

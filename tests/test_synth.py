@@ -14,12 +14,9 @@ from progress_lab.oracle import check_matrix
 from progress_lab.synth import (
     SynthConfig,
     _check_candidate,
-    _location_images,
+    _orbit_members,
     _orbit_representatives,
-    _orbit_size,
-    _representatives,
     _tables,
-    _thread_orders,
     canonicalize,
     compositions,
     synthesize,
@@ -123,8 +120,8 @@ def test_determinism(small):
 def test_parallel_equals_serial(suites):
     # (3,3) is the first bound with three equal-length threads, so an
     # orbit representative's nondecreasing program indices span slices.
-    # With symmetry reduction, location-relabeled twins land in different
-    # workers, so duplicates are found across them.
+    # Every member of an orbit comes from its representative's slice; with
+    # symmetry reduction, members sharing a canonical body are duplicates.
     runs = [
         (suites(*bounds), SynthConfig(*bounds, jobs=2))
         for bounds in ((2, 2), (2, 3), (3, 3))
@@ -350,33 +347,10 @@ def test_location_relabelings_share_verdicts():
 
 
 def test_representatives_cover_every_candidate_once():
-    # Expanding each thread-orbit representative into its distinct thread
-    # permutations gives the whole candidate space, each candidate once.
-    for bounds in ((2, 2), (2, 3), (3, 3)):
-        comps = compositions(bounds[1], bounds[0])
-        counts = {comp: [len(p) for p in _tables(comp, 2, 2)[2]] for comp in comps}
-        space = [
-            tuple(zip(comp, idx))
-            for comp in comps
-            for idx in itertools.product(*map(range, counts[comp]))
-        ]
-        expanded = []
-        orbits = 0
-        for comp in comps:
-            if list(comp) != sorted(comp, reverse=True):
-                continue
-            for idx in _representatives(comp, counts[comp], 0, counts[comp][0]):
-                keys = tuple(zip(comp, idx))
-                orders = _thread_orders(comp, idx)
-                assert len(orders) == _orbit_size(comp, idx), keys
-                orbits += len(orders)
-                expanded += [tuple(keys[k] for k in order) for order in orders]
-        assert sorted(expanded) == sorted(space)
-        assert orbits == len(space) == SUITE_CANDIDATES[bounds]
-    # Expanding each kept representative of the combined orbits into its
-    # distinct location images, and each image into its distinct thread
-    # permutations, gives the whole space once too, and the orbit sizes
-    # _span_worker credits add up to it.
+    # Expanding each orbit representative into its members gives the
+    # whole candidate space, each candidate once, starting with the
+    # representative, and the orbit size _span_worker credits is the
+    # member count.
     for nl in (2, 3):
         for bounds in ((2, 2), (2, 3), (3, 3)):
             comps = compositions(bounds[1], bounds[0])
@@ -391,15 +365,12 @@ def test_representatives_cover_every_candidate_once():
             for comp in comps:
                 if list(comp) != sorted(comp, reverse=True):
                     continue
-                for idx, images in _orbit_representatives(comp, nl, 2, 0, counts[comp][0]):
-                    credited += _orbit_size(comp, idx) * images
-                    located = _location_images(comp, idx, nl, 2)
-                    assert located[0] == idx and len(located) == images, (comp, idx)
-                    for image in located:
-                        keys = tuple(zip(comp, image))
-                        orders = _thread_orders(comp, image)
-                        assert len(orders) == _orbit_size(comp, idx), keys
-                        expanded += [tuple(keys[k] for k in order) for order in orders]
+                for idx, size in _orbit_representatives(comp, nl, 2, 0, counts[comp][0]):
+                    members = list(_orbit_members(comp, idx, nl, 2))
+                    assert members[0] == tuple(enumerate(idx)), (comp, idx)
+                    assert len(members) == size, (comp, idx)
+                    credited += size
+                    expanded += [tuple((comp[k], i) for k, i in m) for m in members]
             assert sorted(expanded) == sorted(space), (nl, bounds)
             assert credited == len(space)
             if nl == 2:
