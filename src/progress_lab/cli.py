@@ -45,7 +45,7 @@ def _resolve_seed(value: int | None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise SystemExit(f"error: PROGRESS_LAB_SEED is not an integer: {env!r}") from exc
+            raise ValueError(f"PROGRESS_LAB_SEED is not an integer: {env!r}") from exc
     return 0
 
 

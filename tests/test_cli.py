@@ -44,6 +44,18 @@ def test_synth_prints_count(tmp_path, capsys):
     assert capsys.readouterr().out == f"20 tests written to {out}\n"
 
 
+def test_synth_symmetry_writes_one_test_per_location_orbit(tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["synth", "--threads", "2", "--instrs", "2", "--symmetry", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"10 tests written to {out}\n"
+    assert len(list(out.glob("*.litmus"))) == 10
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["config"]["symmetry_reduction"] is True
+    counts = [stats[k] for k in ("candidates", "explored", "duplicates", "unique")]
+    assert counts == [324, 30, 10, 10]
+
+
 def test_check_single_prints_bare_token(capsys):
     assert main(["check", MUTEX, "--model", "obe", "--fairness", "weak"]) == 0
     assert capsys.readouterr().out == "pass\n"
@@ -335,9 +347,10 @@ def test_seed_env_fallback(tmp_path, monkeypatch, capsys):
     assert explicit.read_text() == via_env.read_text()
 
     monkeypatch.setenv("PROGRESS_LAB_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(args)
-    assert "not an integer" in str(exc.value)
+    assert main(args) == 2  # 1 means an --expect mismatch
+    assert capsys.readouterr().err == (
+        "error [simulate]: PROGRESS_LAB_SEED is not an integer: 'abc'\n"
+    )
 
 
 def test_emit_rejects_name_escaping_the_output(tmp_path, capsys):
