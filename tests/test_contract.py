@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from conftest import GOLDEN_DIR, capped_tests
 from progress_lab.classify import classify_suite, matrix_csv, partitions_json_dict, write_report
-from progress_lab.emit import Variant, expand_layout
+from progress_lab.emit import Backend, EmitConfig, Variant, emit_suite, expand_layout
 from progress_lab.litmus_io import serialize_litmus
 from progress_lab.lts import build_monitored_lts, build_plain_lts
 from progress_lab.models import ProgressModel, default_hierarchy
@@ -72,6 +72,22 @@ def test_synthesis_outputs_are_pinned(suites):
         ).encode()
     assert len(files) == 14
     assert _digest(files) == CONTRACT["synthesis"]
+
+
+def test_emit_suite_outputs_are_pinned(idioms, tmp_path):
+    """Every file `emit_suite` writes, `manifest.json` included, for the
+    six idioms on every backend, plain and in chunked and round-robin
+    layouts of three instances."""
+    files = {}
+    for backend in Backend:
+        configs = [EmitConfig(backend)]
+        configs += [EmitConfig(backend, v, 3) for v in (Variant.CHUNKED, Variant.ROUND_ROBIN)]
+        manifest = emit_suite(list(idioms.values()), configs, tmp_path / backend.value)
+        assert manifest["errors"] == []
+        for path in (tmp_path / backend.value).iterdir():
+            files[f"{backend.value}/{path.name}"] = path.read_bytes()
+    assert len(files) == 94  # 18 artifacts and a manifest per backend, 18 Amber scripts
+    assert _digest(files) == CONTRACT["emit_suite"]
 
 
 def test_lts_dumps_are_pinned(idioms):
