@@ -460,7 +460,7 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
         list(itertools.combinations_with_replacement(range(counts[s]), e - s))
         for s, e in runs[1:]
     ]
-    threads = math.factorial(len(comp))
+    all_orders = math.factorial(len(comp))
     for first in range(lo, hi):
         u = first_use[0][first][0]
         if u == fail:
@@ -487,7 +487,7 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
                     break
                 stab += image == idx
             else:
-                orders = threads
+                orders = all_orders
                 for s, e in sort_runs:
                     run = 1
                     for k in range(s + 1, e):
@@ -499,10 +499,11 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
 def _orbit_members(comp, idx, num_locations: int, value_domain: int):
     """Each member of the orbit of representative `idx` once, as
     (thread position, program index) pairs in the member's thread order;
-    `idx` itself comes first.  The distinct location images under every
-    renaming of its used locations, each re-sorted within runs of equal
-    thread lengths, are found first, then each one's distinct thread
-    orders."""
+    `idx` itself comes first.  A position stands for its thread's length:
+    it is the first of its run of equal lengths, so equal pairs are equal
+    threads.  The distinct location images under every renaming of the
+    used locations, each re-sorted within runs, are found first, then
+    each one's distinct thread orders."""
     first_use, _, digits, runs = _location_tables(comp, num_locations, value_domain)
     u = 0
     for t, i in zip(first_use, idx):
@@ -510,14 +511,9 @@ def _orbit_members(comp, idx, num_locations: int, value_domain: int):
     images = {}
     for f in itertools.permutations(range(num_locations), u):
         image = [_relabel_index(i, d, f) for d, i in zip(digits, idx)]
-        for s, e in runs:
-            image[s:e] = sorted(image[s:e])
-        images.setdefault(tuple(image), None)
+        images.setdefault(tuple((s, i) for s, e in runs for i in sorted(image[s:e])), None)
     for image in images:
-        orders = {}
-        for member in itertools.permutations(enumerate(image)):
-            orders.setdefault(tuple((comp[k], i) for k, i in member), member)
-        yield from orders.values()
+        yield from dict.fromkeys(itertools.permutations(image))
 
 
 def _span_worker(args):

@@ -366,11 +366,14 @@ def test_representatives_cover_every_candidate_once():
                 if list(comp) != sorted(comp, reverse=True):
                     continue
                 for idx, size in _orbit_representatives(comp, nl, 2, 0, counts[comp][0]):
-                    members = list(_orbit_members(comp, idx, nl, 2))
-                    assert members[0] == tuple(enumerate(idx)), (comp, idx)
+                    members = [
+                        tuple((comp[k], i) for k, i in m)
+                        for m in _orbit_members(comp, idx, nl, 2)
+                    ]
+                    assert members[0] == tuple(zip(comp, idx)), (comp, idx)
                     assert len(members) == size, (comp, idx)
                     credited += size
-                    expanded += [tuple((comp[k], i) for k, i in m) for m in members]
+                    expanded += members
             assert sorted(expanded) == sorted(space), (nl, bounds)
             assert credited == len(space)
             if nl == 2:
