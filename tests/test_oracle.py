@@ -194,6 +194,36 @@ def test_matrix_agrees_with_naive_on_capped_suites(suites):
                     naive.replay_witness(test, matrix[token].witness)
 
 
+def test_all_bounds_rows_agree_with_naive_on_larger_suites(suites, all_bounds_report):
+    """Every column of the session classification's row for each (3,4)
+    and (2,4) location-orbit representative (the first capped test of its
+    `canonicalize` key in suite order) equals the naive checks."""
+    from conftest import capped_tests
+    from progress_lab.synth import canonicalize
+
+    columns = [(variant_token(v), v) for v in all_model_variants()]
+    checked = 0
+    for bounds in ((3, 4), (2, 4)):
+        seen = set()
+        for test in capped_tests(suites(*bounds), bounds):
+            key = canonicalize(test)
+            if key in seen:
+                continue
+            seen.add(key)
+            row = all_bounds_report.matrix[f"b{bounds[0]}{bounds[1]}-{test.name}"]
+            assert len(row) == len(columns)
+            for token, (model, flavor) in columns:
+                if model is ProgressModel.UNFAIR:
+                    fails = naive.naive_unfair_fails(test)
+                elif flavor is Fairness.WEAK:
+                    fails = naive.naive_weak_fails(test, model.value)
+                else:
+                    fails = naive.naive_strong_fails(test, model.value)
+                assert row[token] == (not fails), (bounds, test.name, token)
+            checked += 1
+    assert checked == 11_828  # 2,313 at (3,4) and 9,515 at (2,4)
+
+
 def _relabeled_witness(witness, perm):
     """`witness` as its test's location relabeling `perm` reports it:
     every step's instruction location and the stuck memory permuted."""
