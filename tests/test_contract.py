@@ -19,6 +19,7 @@ from progress_lab.litmus_io import serialize_litmus
 from progress_lab.lts import build_monitored_lts, build_plain_lts
 from progress_lab.models import ProgressModel, default_hierarchy
 from progress_lab.oracle import check_matrix
+from progress_lab.schedsim import campaign
 from progress_lab.synth import SynthConfig, synthesize
 
 CONTRACT = json.loads(GOLDEN_DIR.joinpath("contract.json").read_text(encoding="utf-8"))
@@ -132,3 +133,24 @@ def test_check_matrix_outputs_are_pinned(idioms, suites):
     }
     assert len(files) == 1_171
     assert _digest(files) == CONTRACT["check_matrix"]
+
+
+def test_campaign_outputs_are_pinned(idioms):
+    """`campaign`'s rows and summaries for the six idioms in chunked and
+    round-robin layouts of one and four instances, under the benchmark's
+    nine scheduler settings, base seed 0, three iterations each."""
+    from test_schedsim import PINNED_SPECS
+
+    layouts = [
+        expand_layout(test, variant, m)
+        for test in idioms.values()
+        for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN)
+        for m in (1, 4)
+    ]
+    rows, summaries = campaign(layouts, PINNED_SPECS, iterations=3, base_seed=0)
+    assert (len(rows), len(summaries)) == (648, 216)
+    files = {
+        "rows.json": json.dumps(rows, separators=(",", ":")).encode(),
+        "summaries.json": json.dumps(summaries, separators=(",", ":")).encode(),
+    }
+    assert _digest(files) == CONTRACT["campaign"]
