@@ -196,6 +196,18 @@ def test_harness_roundtrip_expanded(idioms):
     assert rebuilt.value_domain == expanded.value_domain
 
 
+def test_harness_is_json_dumps_of_its_document(idioms):
+    """Every idiom's harness, plain and in chunked and round-robin layouts
+    of one to three instances, is `json.dumps(doc, indent=2)` of the
+    document it encodes, plus a final newline."""
+    layouts = [(Variant.PLAIN, None)]
+    layouts += [(v, m) for v in (Variant.CHUNKED, Variant.ROUND_ROBIN) for m in (1, 2, 3)]
+    for name, test in idioms.items():
+        for variant, m in layouts:
+            source = emit_kernel(test, EmitConfig(Backend.HARNESS, variant, m)).source
+            assert source == json.dumps(json.loads(source), indent=2) + "\n", (name, variant, m)
+
+
 def test_load_harness_rejects_other_json(idioms):
     source = emit_kernel(idioms["mutex"], EmitConfig(Backend.HARNESS)).source
     no_workgroups = json.loads(source)
