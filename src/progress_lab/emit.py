@@ -7,9 +7,11 @@ access hits the same coherence point.  The three C-like backends share
 one template and differ only in their `BACKENDS` dialect.  Multi-instance
 layouts replicate the test across disjoint memory regions and remap
 workgroup ids so the relative thread order inside every instance is
-preserved.  The harness text is written directly, one template per test
-thread, and equals `json.dumps(doc, indent=2)` of the harness document
-plus a final newline, without building the multi-instance test.
+preserved.  The JSON harness equals `json.dumps(doc, indent=2)` of its
+document plus a final newline by construction: each test thread's
+workgroup entry is dumped once as a template, and every workgroup fills
+its thread's template with its ids and locations, without building the
+multi-instance test.
 """
 
 from __future__ import annotations
@@ -263,30 +265,18 @@ def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str
     }
     # The header text ends with the empty list: '"workgroups": []\n}'.
     head = json.dumps(header, indent=2).removesuffix("[]\n}")
-    # One %-template per test thread, in json.dumps's indent=2 layout:
-    # the workgroup, instance and thread ids, then each instruction's
-    # location, offset into the instance's memory region.
+    # One %-template per test thread: its workgroup entry as json.dumps
+    # lays it out one level deep.  Its only strings, "%d", are un-quoted
+    # into placeholders for the workgroup, instance and thread ids and
+    # each instruction's location, offset into its instance's memory.
     templates = []
     for program in test.threads:
-        instructions = ",\n".join(
-            "        {\n"
-            '          "loc": %d,\n'
-            f'          "cmp": {ins.cmp},\n'
-            f'          "jump": {ins.jump},\n'
-            f'          "exch": {json.dumps(ins.exch)}\n'
-            "        }"
-            for ins in program
-        )
-        templates.append(
-            "    {\n"
-            '      "workgroup": %d,\n'
-            '      "instance": %d,\n'
-            '      "thread": %d,\n'
-            '      "program": [\n'
-            f"{instructions}\n"
-            "      ]\n"
-            "    }"
-        )
+        instructions = [
+            {"loc": "%d", "cmp": ins.cmp, "jump": ins.jump, "exch": ins.exch} for ins in program
+        ]
+        group = {"workgroup": "%d", "instance": "%d", "thread": "%d", "program": instructions}
+        text = json.dumps(group, indent=2).replace('"%d"', "%d")
+        templates.append("    " + text.replace("\n", "\n    "))
     locs = [tuple(ins.loc for ins in program) for program in test.threads]
     groups = []
     for w in range(n * instances):

@@ -19,7 +19,9 @@ canonical (fixed field order, fixed two-space indent, no trailing
 whitespace), so two tests are structurally equal exactly when their
 serializations are byte-equal.
 
-The parser decodes each distinct instruction spelling once per header:
+The parser reads the three header lines, in the order of one table,
+before the thread blocks.  It decodes each distinct instruction spelling
+once per header:
 a bounded cache maps the four field words plus the `locations` and
 `values` counts to the checked `AxbInstruction`.  Only successful
 decodes are kept, and everything else on the line (the index, its
@@ -64,6 +66,9 @@ def _parse_nat(token: str, what: str, lineno: int, raw: str, word: int, shift: i
     )
 
 
+# The header lines in order, as (keyword, argument); a NAME is kept as
+# written and an N is a number.
+_HEADER = (("test", "NAME"), ("locations", "N"), ("values", "N"))
 _FIELD_ORDER = ("loc", "cmp", "jump", "exch")
 
 # Decoded instructions by (field words, locations, values); a suite
@@ -110,37 +115,32 @@ def _decode_instruction(
 
 def parse_litmus(text: str) -> LitmusTest:
     """Parse one litmus test, rejecting malformed and out-of-range input."""
-    name: str | None = None
-    num_locations: int | None = None
-    value_domain: int | None = None
+    lines = enumerate(text.splitlines(), start=1)
+    header = []
+    for keyword, argument in _HEADER:
+        for lineno, raw in lines:
+            words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if words:
+                break
+        else:
+            raise LitmusParseError("incomplete test: missing header lines", 1)
+        if words[0] != keyword or len(words) != 2:
+            raise LitmusParseError(f"expected '{keyword} {argument}'", lineno, _column(raw, 0))
+        value = words[1]
+        header.append(value if argument == "NAME" else _parse_nat(value, keyword, lineno, raw, 1))
+    name, num_locations, value_domain = header
     threads: list[list[AxbInstruction]] = []
     thread_lines: list[int] = []
     # Line number per instruction so jump targets can be checked once the
     # owning thread's length is known.
     instr_lines: list[list[int]] = []
 
-    phase = "test"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in lines:
         words = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not words:
             continue
 
-        if phase == "test":
-            if words[0] != "test" or len(words) != 2:
-                raise LitmusParseError("expected 'test NAME'", lineno, _column(raw, 0))
-            name = words[1]
-            phase = "locations"
-        elif phase == "locations":
-            if words[0] != "locations" or len(words) != 2:
-                raise LitmusParseError("expected 'locations N'", lineno, _column(raw, 0))
-            num_locations = _parse_nat(words[1], "locations", lineno, raw, 1)
-            phase = "values"
-        elif phase == "values":
-            if words[0] != "values" or len(words) != 2:
-                raise LitmusParseError("expected 'values N'", lineno, _column(raw, 0))
-            value_domain = _parse_nat(words[1], "values", lineno, raw, 1)
-            phase = "threads"
-        elif words[0] == "thread":
+        if words[0] == "thread":
             if len(words) != 2 or not words[1].endswith(":"):
                 raise LitmusParseError("expected 'thread N:'", lineno, _column(raw, 0))
             tid = _parse_nat(words[1][:-1], "thread id", lineno, raw, 1)
@@ -182,8 +182,6 @@ def parse_litmus(text: str) -> LitmusTest:
             program.append(ins)
             instr_lines[-1].append(lineno)
 
-    if name is None or num_locations is None or value_domain is None:
-        raise LitmusParseError("incomplete test: missing header lines", 1)
     if not threads:
         raise LitmusParseError("test declares no threads", 1)
     for tid, program in enumerate(threads):

@@ -4,7 +4,8 @@ Two constructions share one representation and one breadth-first
 explorer, `_explore`, which numbers states, enforces the state budget
 and lays each state's out-edges down together, so `Lts.out[s]` is a
 contiguous range of transition ids; a state without out-edges is an
-end state.  The constructions differ only in their successor function.
+end state.  An edge is `(src, dst, tid)`: the instruction it runs is the
+one at thread `tid`'s pc in state `src`.  The constructions differ only in their successor function.
 The plain LTS explores machine states only; it is the one exploration
 that runs `axb.step`.  The monitored LTS is its product with the
 stepped-set monitor: each plain state paired with the set of threads
@@ -26,12 +27,16 @@ terminations as freely available along escape paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .axb import AxbInstruction, LitmusTest, MachineState, enabled_threads, step
+from .axb import LitmusTest, MachineState, enabled_threads, step
 from .models import ProgressModel, fair_set, thread_ids
 
 DEFAULT_MAX_STATES = 10**6
+
+
+def _csv(ids) -> str:
+    return ",".join(map(str, ids))
 
 
 class ExplorationLimitError(RuntimeError):
@@ -40,12 +45,12 @@ class ExplorationLimitError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """One step: thread `tid` runs `instr`, moving state `src` to `dst`."""
+    """One step: thread `tid` runs its instruction at its pc in state
+    `src`, moving to state `dst`."""
 
     src: int
     dst: int
     tid: int
-    instr: AxbInstruction
 
 
 class Lts:
@@ -86,23 +91,22 @@ class Lts:
         return len(self.states)
 
     def to_dot(self, model: ProgressModel | None = None) -> str:
-        """Graphviz rendering; edges carry `model`'s fair sets when given."""
-        fair = None if model is None else self.fair_sets(model)
+        """Graphviz rendering of `to_json_dict(model)`; edges carry
+        `model`'s fair sets when given."""
+        doc = self.to_json_dict(model)
+        ends = set(doc["end_states"])
         lines = ["digraph lts {", "  rankdir=LR;"]
-        ends = set(self.end_states)
-        for idx, m in enumerate(self.states):
-            label = f"s{idx}\\nmem={','.join(map(str, m.memory))}\\npc={','.join(map(str, m.pcs))}"
-            if self.facts is not None:
-                stepped = thread_ids(self.facts[idx][0])
-                label += f"\\nstepped={{{','.join(map(str, stepped))}}}"
+        for idx, state in enumerate(doc["states"]):
+            label = f"s{idx}\\nmem={_csv(state['memory'])}\\npc={_csv(state['pcs'])}"
+            if "stepped" in state:
+                label += f"\\nstepped={{{_csv(state['stepped'])}}}"
             shape = "doublecircle" if idx in ends else "circle"
             lines.append(f'  s{idx} [shape={shape}, label="{label}"];')
-        for tr in self.transitions:
-            if fair is None:
-                label = f"T{tr.tid}"
-            else:
-                label = f"T{tr.tid}:{{{','.join(map(str, thread_ids(fair[tr.src])))}}}"
-            lines.append(f'  s{tr.src} -> s{tr.dst} [label="{label}"];')
+        for tr in doc["transitions"]:
+            label = f"T{tr['tid']}"
+            if tr["fair"] is not None:
+                label += f":{{{_csv(tr['fair'])}}}"
+            lines.append(f'  s{tr["src"]} -> s{tr["dst"]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -116,23 +120,16 @@ class Lts:
                 entry["stepped"] = thread_ids(stepped)
                 entry["terminated"] = thread_ids(terminated)
             states.append(entry)
-        transitions = []
-        for tr in self.transitions:
-            ins = tr.instr
-            transitions.append(
-                {
-                    "src": tr.src,
-                    "dst": tr.dst,
-                    "tid": tr.tid,
-                    "instr": {
-                        "loc": ins.loc,
-                        "cmp": ins.cmp,
-                        "jump": ins.jump,
-                        "exch": ins.exch,
-                    },
-                    "fair": None if fair is None else thread_ids(fair[tr.src]),
-                }
-            )
+        transitions = [
+            {
+                "src": tr.src,
+                "dst": tr.dst,
+                "tid": tr.tid,
+                "instr": asdict(self.test.threads[tr.tid][self.states[tr.src].pcs[tr.tid]]),
+                "fair": None if fair is None else thread_ids(fair[tr.src]),
+            }
+            for tr in self.transitions
+        ]
         return {
             "test": self.test.name,
             "model": None if model is None else model.value,
@@ -149,7 +146,7 @@ class Lts:
 def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
     """Breadth-first closure of `successors` from `root`.
 
-    `successors(key)` yields `(key', tid, instr)` in ascending thread id.
+    `successors(key)` yields `(key', tid)` in ascending thread id.
     Returns the keys in discovery order, the transitions grouped by
     source, and each key's range of transition ids.
     """
@@ -159,7 +156,7 @@ def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
     out: list[range] = []
     for src, key in enumerate(keys):
         first = len(transitions)
-        for succ, tid, instr in successors(key):
+        for succ, tid in successors(key):
             dst = index.get(succ)
             if dst is None:
                 if len(keys) >= max_states:
@@ -168,7 +165,7 @@ def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
                     )
                 dst = index[succ] = len(keys)
                 keys.append(succ)
-            transitions.append(Transition(src, dst, tid, instr))
+            transitions.append(Transition(src, dst, tid))
         out.append(range(first, len(transitions)))
     return keys, transitions, out
 
@@ -181,7 +178,7 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
 
     def successors(state: MachineState):
         for tid in enabled_threads(test, state):
-            yield step(test, state, tid), tid, test.threads[tid][state.pcs[tid]]
+            yield step(test, state, tid), tid
 
     states, transitions, out = _explore(test, "plain", test.initial_state(), successors, max_states)
     return Lts(test, states, transitions, out)
@@ -214,7 +211,7 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
         p, stepped = pair
         for ti in plain.out[p]:
             tr = plain.transitions[ti]
-            yield (tr.dst, stepped | 1 << tr.tid), tr.tid, tr.instr
+            yield (tr.dst, stepped | 1 << tr.tid), tr.tid
 
     pairs, transitions, out = _explore(test, "monitored", (0, 0), successors, max_states)
     states = [plain.states[p] for p, _ in pairs]

@@ -94,7 +94,8 @@ def _witness_steps(
     for idx in transition_ids:
         tr = lts.transitions[idx]
         pc = lts.states[tr.src].pcs[tr.tid]
-        steps.append(WitnessStep(tr.tid, pc, tr.instr, frozenset(thread_ids(fair[tr.src]))))
+        instr = lts.test.threads[tr.tid][pc]
+        steps.append(WitnessStep(tr.tid, pc, instr, frozenset(thread_ids(fair[tr.src]))))
     return tuple(steps)
 
 

@@ -51,7 +51,6 @@ def test_transition_labels_replay(idioms):
     lts = build_plain_lts(idioms["bidirectional"])
     for tr in lts.transitions:
         assert step(idioms["bidirectional"], lts.states[tr.src], tr.tid) == lts.states[tr.dst]
-        assert tr.instr == idioms["bidirectional"].threads[tr.tid][lts.states[tr.src].pcs[tr.tid]]
 
 
 def test_plain_has_no_fairness_info(idioms):
