@@ -58,8 +58,10 @@ location image, of which there are `num_locations! / (num_locations -
 u)!` over the used location permutations that map it onto itself.  An
 accepted one is expanded into its members (`_orbit_members`) before
 dedup.  Symmetry reduction keeps only the members whose locations are
-in first-use order: those bodies are exactly the `canonicalize` texts of
-the orbit, since a member's canonical form is itself a member.
+in first-use order, which use locations 0..u-1, so only the `u!`
+renamings onto those are expanded: those bodies are exactly the
+`canonicalize` texts of the orbit, since a member's canonical form is
+itself a member.
 `classify` keys its location orbits by the same text.  An accepted
 member gives at most one body, so no worker counts duplicates: they are
 the candidates left over after the rejections and the unique tests.
@@ -496,24 +498,33 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
                 yield idx, orders * (injections[u] // stab)
 
 
-def _orbit_members(comp, idx, num_locations: int, value_domain: int):
+def _orbit_members(comp, idx, num_locations: int, value_domain: int, symmetry_reduction=False):
     """Each member of the orbit of representative `idx` once, as
     (thread position, program index) pairs in the member's thread order;
     `idx` itself comes first.  A position stands for its thread's length:
     it is the first of its run of equal lengths, so equal pairs are equal
     threads.  The distinct location images under every renaming of the
     used locations, each re-sorted within runs, are found first, then
-    each one's distinct thread orders."""
+    each one's distinct thread orders.  Under symmetry reduction only the
+    members in first-use order are wanted: they use locations 0..u-1, so
+    only the renamings onto those are tried."""
     first_use, _, digits, runs = _location_tables(comp, num_locations, value_domain)
     u = 0
     for t, i in zip(first_use, idx):
         u = t[i][u]
     images = {}
-    for f in itertools.permutations(range(num_locations), u):
+    for f in itertools.permutations(range(u if symmetry_reduction else num_locations), u):
         image = [_relabel_index(i, d, f) for d, i in zip(digits, idx)]
         images.setdefault(tuple((s, i) for s, e in runs for i in sorted(image[s:e])), None)
     for image in images:
-        yield from dict.fromkeys(itertools.permutations(image))
+        for member in dict.fromkeys(itertools.permutations(image)):
+            if symmetry_reduction:
+                v = 0
+                for k, i in member:
+                    v = first_use[k][i][v]
+                if v != u:
+                    continue
+            yield member
 
 
 def _span_worker(args):
@@ -530,8 +541,6 @@ def _span_worker(args):
     config, comp, lo, hi = args
     nl, vd = config.num_locations, config.value_domain
     vl, lanes, positions = _tables(comp, nl, vd)
-    first_use = _location_tables(comp, nl, vd)[0]
-    fail = len(first_use[0][0]) - 1
 
     rejected = dict.fromkeys(REJECT_REASONS, 0)
     accepted: dict[str, tuple[int, int]] = {}
@@ -567,13 +576,7 @@ def _span_worker(args):
         if reason is not None:
             rejected[reason] += orbit
             continue
-        for member in _orbit_members(comp, idx, nl, vd):
-            if config.symmetry_reduction:
-                u = 0
-                for k, i in member:
-                    u = first_use[k][i][u]
-                if u == fail:
-                    continue
+        for member in _orbit_members(comp, idx, nl, vd, config.symmetry_reduction):
             body = join_body([positions[k][i][3] for k, i in member], nl, vd)
             accepted.setdefault(body, (n_states, n_actions))
     return candidates, rejected, accepted, explored
