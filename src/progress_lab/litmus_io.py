@@ -21,12 +21,11 @@ serializations are byte-equal.
 
 The parser reads the three header lines, in the order of one table,
 before the thread blocks.  It decodes each distinct instruction spelling
-once per header:
-a bounded cache maps the four field words plus the `locations` and
-`values` counts to the checked `AxbInstruction`.  Only successful
-decodes are kept, and everything else on the line (the index, its
-order, the `axb` keyword) is checked on every line, so errors and their
-positions do not depend on what was parsed before.
+once per header: a bounded cache maps the four field words plus the
+`locations` and `values` counts to the checked `AxbInstruction`.  Only
+successful decodes are kept, and everything else on the line (the index,
+its order, the `axb` keyword) is checked on every line, so errors and
+their positions do not depend on what was parsed before.
 """
 
 from __future__ import annotations

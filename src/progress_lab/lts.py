@@ -5,12 +5,13 @@ explorer, `_explore`, which numbers states, enforces the state budget
 and lays each state's out-edges down together, so `Lts.out[s]` is a
 contiguous range of transition ids; a state without out-edges is an
 end state.  An edge is `(src, dst, tid)`: the instruction it runs is the
-one at thread `tid`'s pc in state `src`.  The constructions differ only in their successor function.
-The plain LTS explores machine states only; it is the one exploration
-that runs `axb.step`.  The monitored LTS is its product with the
-stepped-set monitor: each plain state paired with the set of threads
-that have stepped, plus the threads that have terminated there.  Thread
-sets are int bitmasks, bit t standing for thread t, as in `models`.
+one at thread `tid`'s pc in state `src`.  The constructions differ only
+in their successor function.  The plain LTS explores machine states
+only; it is the one exploration that runs `axb.step`.  The monitored LTS
+is its product with the stepped-set monitor: each plain state paired
+with the set of threads that have stepped, plus the threads that have
+terminated there.  Thread sets are int bitmasks, bit t standing for
+thread t, as in `models`.
 Both kinds hold machine states in `Lts.states`; a monitored LTS also
 holds each state's `(stepped, terminated)` mask pair in `Lts.facts`,
 which is None for a plain one.  The monitored LTS does not depend on any

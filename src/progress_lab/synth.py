@@ -498,7 +498,9 @@ def _orbit_representatives(comp, num_locations: int, value_domain: int, lo: int,
                 yield idx, orders * (injections[u] // stab)
 
 
-def _orbit_members(comp, idx, num_locations: int, value_domain: int, symmetry_reduction=False):
+def _orbit_members(
+    comp, idx, num_locations: int, value_domain: int, symmetry_reduction: bool = False
+):
     """Each member of the orbit of representative `idx` once, as
     (thread position, program index) pairs in the member's thread order;
     `idx` itself comes first.  A position stands for its thread's length:
