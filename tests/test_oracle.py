@@ -175,6 +175,16 @@ def test_random_failures_replay(t, model):
             naive.replay_witness(t, verdict.witness)
 
 
+def _naive_fails(test, variant):
+    """The naive reference's verdict for one matrix column: True on fail."""
+    model, flavor = variant
+    if model is ProgressModel.UNFAIR:
+        return naive.naive_unfair_fails(test)
+    if flavor is Fairness.WEAK:
+        return naive.naive_weak_fails(test, model.value)
+    return naive.naive_strong_fails(test, model.value)
+
+
 def test_matrix_agrees_with_naive_on_capped_suites(suites):
     from conftest import capped_tests
 
@@ -182,13 +192,8 @@ def test_matrix_agrees_with_naive_on_capped_suites(suites):
     for bounds in ((2, 2), (2, 3), (3, 3)):
         for test in capped_tests(suites(*bounds), bounds):
             matrix = check_matrix(test)
-            for token, (model, flavor) in columns:
-                if model is ProgressModel.UNFAIR:
-                    fails = naive.naive_unfair_fails(test)
-                elif flavor is Fairness.WEAK:
-                    fails = naive.naive_weak_fails(test, model.value)
-                else:
-                    fails = naive.naive_strong_fails(test, model.value)
+            for token, variant in columns:
+                fails = _naive_fails(test, variant)
                 assert matrix[token].passed == (not fails), (bounds, test.name, token)
                 if bounds == (3, 3) and fails:
                     naive.replay_witness(test, matrix[token].witness)
@@ -212,14 +217,8 @@ def test_all_bounds_rows_agree_with_naive_on_larger_suites(suites, all_bounds_re
             seen.add(key)
             row = all_bounds_report.matrix[f"b{bounds[0]}{bounds[1]}-{test.name}"]
             assert len(row) == len(columns)
-            for token, (model, flavor) in columns:
-                if model is ProgressModel.UNFAIR:
-                    fails = naive.naive_unfair_fails(test)
-                elif flavor is Fairness.WEAK:
-                    fails = naive.naive_weak_fails(test, model.value)
-                else:
-                    fails = naive.naive_strong_fails(test, model.value)
-                assert row[token] == (not fails), (bounds, test.name, token)
+            for token, variant in columns:
+                assert row[token] == (not _naive_fails(test, variant)), (bounds, test.name, token)
             checked += 1
     assert checked == 11_828  # 2,313 at (3,4) and 9,515 at (2,4)
 
