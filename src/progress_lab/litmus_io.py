@@ -114,6 +114,8 @@ def _decode_instruction(
 
 def parse_litmus(text: str) -> LitmusTest:
     """Parse one litmus test, rejecting malformed and out-of-range input."""
+    # Both loops below read this iterator and skip blank lines inline: a
+    # generator filtering them first made parsing 5-10% slower.
     lines = enumerate(text.splitlines(), start=1)
     header = []
     for keyword, argument in _HEADER:
