@@ -174,6 +174,35 @@ def test_scc_partition_and_labels(idioms):
     assert [min(c.members) for c in sccs] == sorted(min(c.members) for c in sccs)
 
 
+@settings(max_examples=80, deadline=None)
+@given(litmus_tests())
+def test_scc_decompose_matches_mutual_reachability(t):
+    """Components are the classes of mutual reachability, each ascending
+    and ordered by smallest member; `stepping` and `nontrivial` read the
+    edges with both ends inside, for both LTS kinds."""
+    for kind, lts in both_kinds(t).items():
+        reach = []
+        for s in range(len(lts)):
+            seen, stack = {s}, [s]
+            while stack:
+                for ti in lts.out[stack.pop()]:
+                    dst = lts.transitions[ti].dst
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            reach.append(seen)
+        classes = [
+            tuple(r for r in sorted(reach[s]) if s in reach[r]) for s in range(len(lts))
+        ]
+        sccs = scc_decompose(lts)
+        assert [c.members for c in sccs] == [c for s, c in enumerate(classes) if c[0] == s], kind
+        for c in sccs:
+            members = set(c.members)
+            tids = {tr.tid for tr in lts.transitions if tr.src in members and tr.dst in members}
+            assert thread_ids(c.stepping) == sorted(tids), kind
+            assert c.nontrivial == bool(tids), kind
+
+
 def test_self_loop_scc_is_nontrivial():
     lts = build_plain_lts(SPIN_FOREVER)
     sccs = scc_decompose(lts)
