@@ -1,5 +1,6 @@
 """No public name without a library caller: each one is used in `src/` or
-exported; and every name the benchmark's tracer wraps still exists."""
+exported; every name the benchmark's tracer wraps still exists; and the
+naive reference oracles import nothing from the package."""
 
 import ast
 import importlib.util
@@ -56,3 +57,16 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_naive_reference_imports_nothing_from_the_package():
+    # The differential tests compare the package with tests/naive.py, so
+    # that agreement means something only while naive.py shares no code
+    # with it.
+    path = Path(__file__).resolve().parent / "naive.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported
+    assert [m for m in imported if m.split(".")[0] == progress_lab.__name__] == []
