@@ -16,9 +16,10 @@ Both kinds hold machine states in `Lts.states`; a monitored LTS also
 holds each state's `(stepped, terminated)` mask pair in `Lts.facts`,
 which is None for a plain one.  The monitored LTS does not depend on any
 progress model: only the fair set of a state does, so one monitored LTS
-serves every model, and `Lts.fair_sets` derives the fair sets of one
-model from the facts.  A transition's fair label is the fair set of its
-*source* state, i.e. the guarantee in force before the step.
+and one `scc_decompose` of it serve every model, and `Lts.fair_sets`
+derives the fair sets of one model from the facts.  A transition's fair
+label is the fair set of its *source* state, i.e. the guarantee in
+force before the step.
 Termination is folded into the completing step (the target state's
 facts already record it), so there are no separate termination
 transitions; cycles therefore never contain one, and the oracle treats
@@ -224,14 +225,14 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
 class Scc:
     """One strongly connected component of an LTS.
 
-    `internal` lists indices of transitions with both endpoints in the
-    component; `stepping` is the mask of thread ids on those transitions.
+    `members` are its state ids, ascending.  `stepping` is the mask of
+    thread ids on the transitions with both endpoints in the component.
     A component is nontrivial when it can be looped in: two or more
-    states, or a single state with a self-loop.
+    states, or a single state with a self-loop; either way it has such a
+    transition.
     """
 
     members: tuple[int, ...]
-    internal: tuple[int, ...]
     stepping: int
     nontrivial: bool
 
@@ -239,73 +240,60 @@ class Scc:
 def scc_decompose(lts: Lts) -> list[Scc]:
     """Tarjan's algorithm, iterative to cope with deep spin chains.
 
-    Components are returned sorted by smallest member id, so the order
-    is deterministic and independent of traversal details.
+    Each frame of the depth-first stack keeps its state's out-edge
+    iterator.  A visited state whose component is not yet assigned is
+    still on Tarjan's stack.  Components are returned sorted by smallest
+    member id, so the order is deterministic and independent of
+    traversal details.
     """
+    trs = lts.transitions
     n = len(lts.states)
     index_of = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
     comp_of = [-1] * n
+    stack: list[int] = []
     comp_count = 0
     counter = 0
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(lts.out[root]))]
         while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            out = lts.out[node]
-            while edge_pos < len(out):
-                succ = lts.transitions[out[edge_pos]].dst
-                edge_pos += 1
+            node, edges = work[-1]
+            for ti in edges:
+                succ = trs[ti].dst
                 if index_of[succ] == -1:
-                    work[-1] = (node, edge_pos)
-                    work.append((succ, 0))
-                    advanced = True
+                    index_of[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    work.append((succ, iter(lts.out[succ])))
                     break
-                if on_stack[succ]:
+                if comp_of[succ] == -1:
                     low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp_of[member] = comp_count
-                    if member == node:
-                        break
-                comp_count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                work.pop()
+                if low[node] == index_of[node]:
+                    while True:
+                        member = stack.pop()
+                        comp_of[member] = comp_count
+                        if member == node:
+                            break
+                    comp_count += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
 
-    members: list[list[int]] = [[] for _ in range(comp_count)]
-    for node in range(n):
-        members[comp_of[node]].append(node)
-    internal: list[list[int]] = [[] for _ in range(comp_count)]
+    # Filled in ascending state id, so each member list is ascending and
+    # the components come in order of their smallest member.
+    members: dict[int, list[int]] = {}
+    for node, c in enumerate(comp_of):
+        members.setdefault(c, []).append(node)
     stepping = [0] * comp_count
-    for idx, tr in enumerate(lts.transitions):
+    for tr in trs:
         c = comp_of[tr.src]
         if c == comp_of[tr.dst]:
-            internal[c].append(idx)
             stepping[c] |= 1 << tr.tid
-    sccs = [
-        Scc(
-            tuple(sorted(members[c])),
-            tuple(internal[c]),
-            stepping[c],
-            len(members[c]) > 1 or bool(internal[c]),
-        )
-        for c in range(comp_count)
-    ]
-    sccs.sort(key=lambda s: s.members[0])
-    return sccs
+    return [Scc(tuple(m), stepping[c], stepping[c] != 0) for c, m in members.items()]

@@ -1,9 +1,11 @@
 """Termination verdicts for litmus tests under progress models.
 
 `check_matrix` is the one verdict entry point: it answers every model
-variant of a test from one exploration.  The weak and strong checks read
-a model's fair sets off the monitored LTS, whose `facts` list holds the
-stepped and terminated thread masks of each state.  Thread sets stay int
+variant of a test from one exploration.  One SCC decomposition of the
+monitored LTS and one list of the transitions into each of its states
+serve every model.  The weak and strong checks read a model's fair sets
+off the monitored LTS, whose `facts` list holds the stepped and
+terminated thread masks of each state.  Thread sets stay int
 bitmasks throughout (bit t for thread t); only witnesses turn them into
 frozensets.
 
@@ -21,7 +23,9 @@ guaranteed threads alone can finish the test: a state is good when it
 is an end state, when its fair set is empty (some thread will still be
 scheduled, but none is owed fairness, so the obligation discharges),
 or when a fair step leads to a good state.  It passes when every
-reachable state is good.  A weak pass implies a strong pass.
+reachable state is good.  Good states spread backwards over the
+transitions into each state, keeping those whose thread is in their
+source's fair set.  A weak pass implies a strong pass.
 
 The unfair model has a single collapsed verdict: with no guarantees at
 all, only an acyclic state space terminates.  It is decided on the
@@ -38,7 +42,7 @@ from enum import Enum
 
 from .axb import AxbInstruction, LitmusTest, MachineState
 from .lts import DEFAULT_MAX_STATES, Lts, Scc, build_monitored_lts, build_plain_lts, scc_decompose
-from .models import Fairness, ProgressModel, all_model_variants, thread_ids, variant_token
+from .models import UNFAIR_VARIANT, Fairness, all_model_variants, thread_ids, variant_token
 
 
 class WitnessKind(str, Enum):
@@ -134,13 +138,20 @@ def _bfs(
 
 
 def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
-    """Shortest path to the SCC, then a closed walk stepping every F-thread."""
+    """Shortest path to the SCC, then a closed walk stepping every F-thread.
+
+    The walk starts at a member and follows only edges into the SCC, so
+    it keeps to the SCC's internal edges.
+    """
     trs = lts.transitions
     members = set(scc.members)
-    inside = set(scc.internal).__contains__
+
+    def inside(t: int) -> bool:
+        return trs[t].dst in members
+
     path_ids: list[int] = []
     if lts.initial not in members:
-        path_ids = _bfs(lts, lts.initial, lambda t: trs[t].dst in members)
+        path_ids = _bfs(lts, lts.initial, inside)
     entry = trs[path_ids[-1]].dst if path_ids else lts.initial
 
     cycle_ids: list[int] = []
@@ -168,21 +179,18 @@ def _weak(lts: Lts, sccs: list[Scc], fair: list[int]) -> Verdict:
     return Verdict(True)
 
 
-def _strong(lts: Lts, fair: list[int]) -> Verdict:
+def _strong(lts: Lts, into: list[list[tuple[int, int]]], fair: list[int]) -> Verdict:
     # End states owe nothing (every thread has terminated), and a state
     # about to take a step owed to nobody discharges the obligation
-    # outright, even though the run continues.
+    # outright, even though the run continues.  `into[s]` holds the
+    # `(src, tid)` of each transition entering state s.
     good = [not f for f in fair]
     worklist = [s for s, ok in enumerate(good) if ok]
-    fair_rev: dict[int, list[int]] = {}
-    for tr in lts.transitions:
-        if fair[tr.src] >> tr.tid & 1:
-            fair_rev.setdefault(tr.dst, []).append(tr.src)
     for node in worklist:
-        for pred in fair_rev.get(node, ()):
-            if not good[pred]:
-                good[pred] = True
-                worklist.append(pred)
+        for src, tid in into[node]:
+            if not good[src] and fair[src] >> tid & 1:
+                good[src] = True
+                worklist.append(src)
     if all(good):
         return Verdict(True)
     stuck = good.index(False)
@@ -199,39 +207,31 @@ def _strong(lts: Lts, fair: list[int]) -> Verdict:
     return Verdict(False, witness)
 
 
-def _flavored(lts: Lts, sccs: list[Scc], model: ProgressModel) -> dict[Fairness, Verdict]:
-    """The weak and strong verdicts of `model` from a monitored LTS and its SCCs."""
-    fair = lts.fair_sets(model)
-    return {Fairness.WEAK: _weak(lts, sccs, fair), Fairness.STRONG: _strong(lts, fair)}
-
-
-def _unfair(plain: Lts) -> Verdict:
-    """Pass iff the plain LTS is acyclic: no guarantees, so any loop may spin.
-
-    That is the weak check with every fair set empty.
-    """
-    return _weak(plain, scc_decompose(plain), [0] * len(plain))
-
-
 def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict[str, Verdict]:
     """The verdict of every model variant, keyed by `variant_token`.
 
     Keys follow `all_model_variants()`, the report column order.  The
-    plain LTS gives the unfair verdict and is the input of the monitored
-    LTS.  One monitored LTS and one SCC decomposition of it are shared
-    by the weak and strong checks of every model; only the fair sets,
-    derived from the monitored LTS's `facts`, differ.
+    plain LTS gives the unfair verdict, the weak check with every fair
+    set empty, and is the input of the monitored LTS.  One monitored
+    LTS, one SCC decomposition of it and one list of the transitions
+    into each of its states serve the weak and strong checks of every
+    model; only the fair sets, derived from the monitored LTS's `facts`,
+    differ.
     """
     variants = all_model_variants()
     plain = build_plain_lts(test, max_states)
-    unfair = _unfair(plain)
+    verdicts = {UNFAIR_VARIANT: _weak(plain, scc_decompose(plain), [0] * len(plain))}
     lts = build_monitored_lts(plain, max_states)
     sccs = scc_decompose(lts)
-    flavored = {m: _flavored(lts, sccs, m) for m, flavor in variants if flavor is Fairness.WEAK}
-    return {
-        variant_token((m, flavor)): unfair if flavor is None else flavored[m][flavor]
-        for m, flavor in variants
-    }
+    into: list[list[tuple[int, int]]] = [[] for _ in lts.states]
+    for tr in lts.transitions:
+        into[tr.dst].append((tr.src, tr.tid))
+    for model, flavor in variants:
+        if flavor is Fairness.WEAK:
+            fair = lts.fair_sets(model)
+            verdicts[model, Fairness.WEAK] = _weak(lts, sccs, fair)
+            verdicts[model, Fairness.STRONG] = _strong(lts, into, fair)
+    return {variant_token(v): verdicts[v] for v in variants}
 
 
 def format_witness(witness: Witness) -> str:
