@@ -136,14 +136,15 @@ def naive_unfair_fails(test):
     return False
 
 
-def naive_weak_fails(test, model):
+def naive_weak_fails(test, model, explored=None):
     """Search for a closed walk on which every guaranteed thread steps.
 
     For each node s with fair set F, walk the product (node, subset of F
     stepped so far); reaching (s, F) again after at least one step is a
-    schedule that honors weak fairness yet never terminates.
+    schedule that honors weak fairness yet never terminates.  `explored`
+    may hand in `explore_monitored(test, model)`'s result.
     """
-    _, adj, fair = explore_monitored(test, model)
+    _, adj, fair = explored or explore_monitored(test, model)
     for start, target in fair.items():
         seen = set()
         queue = deque()
@@ -164,11 +165,12 @@ def naive_weak_fails(test, model):
     return False
 
 
-def naive_strong_fails(test, model):
+def naive_strong_fails(test, model, explored=None):
     """A run is doomed if some reachable node cannot reach an end (or a
     moment where nothing is guaranteed) moving only along guaranteed
-    threads.  Checked by a literal forward search from every node."""
-    nodes, adj, fair = explore_monitored(test, model)
+    threads.  Checked by a literal forward search from every node.
+    `explored` may hand in `explore_monitored(test, model)`'s result."""
+    nodes, adj, fair = explored or explore_monitored(test, model)
     threads = test.threads
 
     def is_end(node):

@@ -175,27 +175,31 @@ def test_random_failures_replay(t, model):
             naive.replay_witness(t, verdict.witness)
 
 
-def _naive_fails(test, variant):
-    """The naive reference's verdict for one matrix column: True on fail."""
-    model, flavor = variant
-    if model is ProgressModel.UNFAIR:
-        return naive.naive_unfair_fails(test)
-    if flavor is Fairness.WEAK:
-        return naive.naive_weak_fails(test, model.value)
-    return naive.naive_strong_fails(test, model.value)
+def _naive_fails(test):
+    """The naive reference's verdict of every matrix column, True on fail,
+    keyed by variant token; the weak and strong checks of a model share
+    one exploration."""
+    fails = {variant_token(UNFAIR_VARIANT): naive.naive_unfair_fails(test)}
+    for model in MONITORED_MODELS:
+        explored = naive.explore_monitored(test, model.value)
+        fails[variant_token((model, WEAK))] = naive.naive_weak_fails(test, model.value, explored)
+        fails[variant_token((model, STRONG))] = naive.naive_strong_fails(
+            test, model.value, explored
+        )
+    return fails
 
 
 def test_matrix_agrees_with_naive_on_capped_suites(suites):
     from conftest import capped_tests
 
-    columns = [(variant_token(v), v) for v in all_model_variants()]
+    tokens = [variant_token(v) for v in all_model_variants()]
     for bounds in ((2, 2), (2, 3), (3, 3)):
         for test in capped_tests(suites(*bounds), bounds):
             matrix = check_matrix(test)
-            for token, variant in columns:
-                fails = _naive_fails(test, variant)
-                assert matrix[token].passed == (not fails), (bounds, test.name, token)
-                if bounds == (3, 3) and fails:
+            fails = _naive_fails(test)
+            for token in tokens:
+                assert matrix[token].passed == (not fails[token]), (bounds, test.name, token)
+                if bounds == (3, 3) and fails[token]:
                     naive.replay_witness(test, matrix[token].witness)
 
 
@@ -206,7 +210,7 @@ def test_all_bounds_rows_agree_with_naive_on_larger_suites(suites, all_bounds_re
     from conftest import capped_tests
     from progress_lab.synth import canonicalize
 
-    columns = [(variant_token(v), v) for v in all_model_variants()]
+    tokens = [variant_token(v) for v in all_model_variants()]
     checked = 0
     for bounds in ((3, 4), (2, 4)):
         seen = set()
@@ -216,9 +220,10 @@ def test_all_bounds_rows_agree_with_naive_on_larger_suites(suites, all_bounds_re
                 continue
             seen.add(key)
             row = all_bounds_report.matrix[f"b{bounds[0]}{bounds[1]}-{test.name}"]
-            assert len(row) == len(columns)
-            for token, variant in columns:
-                assert row[token] == (not _naive_fails(test, variant)), (bounds, test.name, token)
+            assert len(row) == len(tokens)
+            fails = _naive_fails(test)
+            for token in tokens:
+                assert row[token] == (not fails[token]), (bounds, test.name, token)
             checked += 1
     assert checked == 11_828  # 2,313 at (3,4) and 9,515 at (2,4)
 
