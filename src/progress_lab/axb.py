@@ -62,6 +62,11 @@ class LitmusTest:
         # Suites and emitted kernels are files named after the test.
         if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
             raise ValueError(f"test name {self.name!r} is not a single path component")
+        # Litmus text holds the name as the one word before any comment.
+        if "#" in self.name or self.name.split() != [self.name]:
+            raise ValueError(
+                f"test name {self.name!r} has whitespace or '#', which litmus text cannot carry"
+            )
         if self.num_locations < 1:
             raise ValueError("a test needs at least one memory location")
         if self.value_domain < 1:

@@ -222,6 +222,11 @@ def test_load_harness_rejects_other_json(idioms):
     ):
         with pytest.raises(ValueError):
             load_harness(other)
+    renamed = json.loads(source)
+    for name in ("a b", "nl\nname", "x#y"):
+        renamed["name"] = name
+        with pytest.raises(ValueError, match="litmus text cannot carry"):
+            load_harness(json.dumps(renamed))
 
 
 def test_timeouts_and_extensions():

@@ -166,6 +166,14 @@ def test_name_must_be_one_path_component(name):
         LitmusTest(name, 1, 2, ((I(0, 0, 1, None),),))
 
 
+@pytest.mark.parametrize("name", ["a b", "nl\nname", "tab\tname", " lead", "x#y", "#"])
+def test_name_must_be_one_word_of_litmus_text(name):
+    # serialize_litmus writes the name as the one word of the `test`
+    # line, and parse_litmus cuts it at whitespace or a `#` comment
+    with pytest.raises(ValueError, match="litmus text cannot carry"):
+        LitmusTest(name, 1, 2, ((I(0, 0, 1, None),),))
+
+
 WIDE = """\
 test wide
 locations 2
