@@ -138,14 +138,11 @@ def _bfs(
 
 
 def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
-    """Shortest path to the SCC, then a closed walk stepping every F-thread.
-
-    The walk starts at a member and follows only edges into the SCC, so
-    it keeps to the SCC's internal edges.
-    """
+    """Shortest path to the SCC, then a closed walk stepping every F-thread."""
     trs = lts.transitions
     members = set(scc.members)
 
+    # From a member, the edges into the SCC are exactly its internal edges.
     def inside(t: int) -> bool:
         return trs[t].dst in members
 
