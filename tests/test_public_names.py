@@ -70,3 +70,35 @@ def test_naive_reference_imports_nothing_from_the_package():
     imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert imported
     assert [m for m in imported if m.split(".")[0] == progress_lab.__name__] == []
+
+
+def test_traced_observers_read_the_library_results(idioms):
+    # The observers read fields of the wrapped calls' results (LTS sizes,
+    # synthesis stats, verdicts, kernel sources, run outcomes), which
+    # only a traced run exercises; each reading must match the library's.
+    from progress_lab import emit, oracle, schedsim, synth
+    from progress_lab.lts import build_monitored_lts, build_plain_lts
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    checked = [idioms["mutex"], idioms["dining"]]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        synth.synthesize(synth.SynthConfig(2, 2))
+        for test in checked:
+            oracle.check_matrix(test)
+        emit.emit_kernel(idioms["mutex"], emit.EmitConfig(emit.Backend.HARNESS))
+        schedsim.simulate(
+            idioms["mutex"], schedsim.SchedulerSpec(schedsim.SchedulerKind.FAIR_ROUND_ROBIN)
+        )
+    finally:
+        tracer.restore()
+    assert tracer.absent == []
+    totals = tracer.totals
+    monitored = [build_monitored_lts(build_plain_lts(test)) for test in checked]
+    assert totals["lts.monitored_transitions"] == sum(len(lts.transitions) for lts in monitored)
+    assert totals["lts.plain_states"] == sum(len(build_plain_lts(test)) for test in checked)
+    assert totals["synth.unique"] > 0 and totals["emit.bytes"] > 0 and totals["schedsim.steps"] > 0
