@@ -313,3 +313,72 @@ def test_one_fair_set_per_monitored_state_and_model(idioms, monkeypatch):
         calls = 0
         check_matrix(test)
         assert calls == len(MONITORED_MODELS) * states, name
+
+
+def _naive_graph(test, model):
+    """The naive reference's graph for `model`'s column as its root and
+    `{node: [(dst, tid), ...]}`: plain (mem, pcs) nodes for unfair, whose
+    verdict is decided on the plain LTS, and (mem, pcs, stepped) nodes
+    for a monitored model."""
+    if model is ProgressModel.UNFAIR:
+        nodes, edges, _ = naive.explore_plain(test)
+        adj = {node: [] for node in nodes}
+        for src, dst, tid, *_ in edges:
+            adj[src].append((dst, tid))
+        root = ((0,) * test.num_locations, (0,) * test.num_threads)
+    else:
+        _, adj, _ = naive.explore_monitored(test, model.value)
+        root = ((0,) * test.num_locations, (0,) * test.num_threads, frozenset())
+    return root, adj
+
+
+def _replay_nodes(test, steps, node):
+    """The naive nodes a run of witness steps visits after `node`."""
+    visited = []
+    for s in steps:
+        assert node[1][s.tid] == s.pc
+        mem, pcs, _ = naive.naive_step(test.threads, node[0], node[1], s.tid)
+        node = (mem, pcs) if len(node) == 2 else (mem, pcs, node[2] | {s.tid})
+        visited.append(node)
+    return visited
+
+
+def _reach(adj, start):
+    seen, stack = {start}, [start]
+    while stack:
+        for dst, _ in adj[stack.pop()]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(litmus_tests(max_threads=3, max_instructions=2))
+def test_witness_paths_are_shortest(t):
+    """A stuck witness's path is as long as the distance to its stuck
+    node; a cycle witness's path is as long as the least distance to any
+    node of its entry's strongly connected component, and its cycle stays
+    inside that component.  Distances are breadth-first in the naive
+    reference's graph."""
+    matrix = check_matrix(t)
+    for model, flavor in all_model_variants():
+        witness = matrix[variant_token((model, flavor))].witness
+        if witness is None:
+            continue
+        root, adj = _naive_graph(t, model)
+        dist = {root: 0}
+        queue = [root]
+        for node in queue:
+            for dst, _ in adj[node]:
+                if dst not in dist:
+                    dist[dst] = dist[node] + 1
+                    queue.append(dst)
+        end = ([root] + _replay_nodes(t, witness.path, root))[-1]
+        if witness.kind is WitnessKind.STUCK:
+            assert len(witness.path) == dist[end], (model, flavor)
+            continue
+        component = {v for v in _reach(adj, end) if end in _reach(adj, v)}
+        assert len(witness.path) == min(dist[v] for v in component), (model, flavor)
+        cycle = _replay_nodes(t, witness.cycle, end)
+        assert cycle[-1] == end and set(cycle) <= component, (model, flavor)
