@@ -2,11 +2,12 @@
 
 Two constructions share one representation and one breadth-first
 explorer, `_explore`, which numbers states, enforces the state budget
-and lays each state's out-edges down together, so `Lts.out[s]` is a
-contiguous range of transition ids; a state without out-edges is an
-end state.  An edge is `(src, dst, tid)`: the instruction it runs is the
-one at thread `tid`'s pc in state `src`.  The constructions differ only
-in their successor function.  The plain LTS explores machine states
+and lists each state's successors, so `Lts.out[s]` is state s's list of
+`(dst, tid)` pairs; a state without successors is an end state.  An
+edge is `(src, dst, tid)`: the instruction it runs is the one at thread
+`tid`'s pc in state `src`.  `Lts.transitions` lays the edges out flat
+for output and is rebuilt on every access.  The constructions differ
+only in their successor function.  The plain LTS explores machine states
 only; it is the one exploration that runs `axb.step`.  The monitored LTS
 is its product with the stepped-set monitor: each plain state paired
 with the set of threads that have stepped, plus the threads that have
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .axb import LitmusTest, MachineState, enabled_threads, step
 from .models import ProgressModel, fair_set, thread_ids
@@ -45,8 +47,7 @@ class ExplorationLimitError(RuntimeError):
     """Raised when exploration exceeds the configured state budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(NamedTuple):
     """One step: thread `tid` runs its instruction at its pc in state
     `src`, moving to state `dst`."""
 
@@ -60,8 +61,8 @@ class Lts:
 
     `states[i]` is the machine state of state i.  `facts[i]` is its
     `(stepped, terminated)` thread masks in a monitored LTS; `facts` is
-    None in a plain one.  `out[i]` is the range of ids of state i's
-    transitions, in ascending thread id.  State numbering is breadth-first
+    None in a plain one.  `out[i]` is state i's successors as `(dst, tid)`
+    pairs, in ascending thread id.  State numbering is breadth-first
     discovery order with threads explored in ascending id, so it is
     deterministic.
     """
@@ -70,17 +71,21 @@ class Lts:
         self,
         test: LitmusTest,
         states: list[MachineState],
-        transitions: list[Transition],
-        out: list[range],
+        out: list[list[tuple[int, int]]],
         facts: list[tuple[int, int]] | None = None,
     ):
         self.test = test
         self.states = states
         self.facts = facts
-        self.transitions = transitions
         self.out = out
         self.end_states = [s for s, edges in enumerate(out) if not edges]
         self.initial = 0
+
+    @property
+    def transitions(self) -> list[Transition]:
+        """Every edge, by source state and then thread id, for output;
+        built anew on each access."""
+        return [Transition(src, dst, tid) for src, succ in enumerate(self.out) for dst, tid in succ]
 
     def fair_sets(self, model: ProgressModel) -> list[int]:
         """The fair-set mask of every state under `model`, indexed by state id."""
@@ -149,15 +154,14 @@ def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
     """Breadth-first closure of `successors` from `root`.
 
     `successors(key)` yields `(key', tid)` in ascending thread id.
-    Returns the keys in discovery order, the transitions grouped by
-    source, and each key's range of transition ids.
+    Returns the keys in discovery order and each key's `(dst, tid)`
+    successor list.
     """
     index = {root: 0}
     keys = [root]
-    transitions: list[Transition] = []
-    out: list[range] = []
-    for src, key in enumerate(keys):
-        first = len(transitions)
+    out: list[list[tuple[int, int]]] = []
+    for key in keys:
+        edges = []
         for succ, tid in successors(key):
             dst = index.get(succ)
             if dst is None:
@@ -167,9 +171,9 @@ def _explore(test: LitmusTest, kind: str, root, successors, max_states: int):
                     )
                 dst = index[succ] = len(keys)
                 keys.append(succ)
-            transitions.append(Transition(src, dst, tid))
-        out.append(range(first, len(transitions)))
-    return keys, transitions, out
+            edges.append((dst, tid))
+        out.append(edges)
+    return keys, out
 
 
 def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> Lts:
@@ -182,8 +186,8 @@ def build_plain_lts(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> L
         for tid in enabled_threads(test, state):
             yield step(test, state, tid), tid
 
-    states, transitions, out = _explore(test, "plain", test.initial_state(), successors, max_states)
-    return Lts(test, states, transitions, out)
+    states, out = _explore(test, "plain", test.initial_state(), successors, max_states)
+    return Lts(test, states, out)
 
 
 def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts:
@@ -211,14 +215,12 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
 
     def successors(pair: tuple[int, int]):
         p, stepped = pair
-        for ti in plain.out[p]:
-            tr = plain.transitions[ti]
-            yield (tr.dst, stepped | 1 << tr.tid), tr.tid
+        return (((dst, stepped | 1 << tid), tid) for dst, tid in plain.out[p])
 
-    pairs, transitions, out = _explore(test, "monitored", (0, 0), successors, max_states)
+    pairs, out = _explore(test, "monitored", (0, 0), successors, max_states)
     states = [plain.states[p] for p, _ in pairs]
     facts = [(stepped, terminated[p]) for p, stepped in pairs]
-    return Lts(test, states, transitions, out, facts)
+    return Lts(test, states, out, facts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +248,6 @@ def scc_decompose(lts: Lts) -> list[Scc]:
     member id, so the order is deterministic and independent of
     traversal details.
     """
-    trs = lts.transitions
     n = len(lts.states)
     index_of = [-1] * n
     low = [0] * n
@@ -263,8 +264,7 @@ def scc_decompose(lts: Lts) -> list[Scc]:
         work = [(root, iter(lts.out[root]))]
         while work:
             node, edges = work[-1]
-            for ti in edges:
-                succ = trs[ti].dst
+            for succ, _ in edges:
                 if index_of[succ] == -1:
                     index_of[succ] = low[succ] = counter
                     counter += 1
@@ -292,8 +292,8 @@ def scc_decompose(lts: Lts) -> list[Scc]:
     for node, c in enumerate(comp_of):
         members.setdefault(c, []).append(node)
     stepping = [0] * comp_count
-    for tr in trs:
-        c = comp_of[tr.src]
-        if c == comp_of[tr.dst]:
-            stepping[c] |= 1 << tr.tid
+    for c, edges in zip(comp_of, lts.out):
+        for dst, tid in edges:
+            if comp_of[dst] == c:
+                stepping[c] |= 1 << tid
     return [Scc(tuple(m), stepping[c], stepping[c] != 0) for c, m in members.items()]

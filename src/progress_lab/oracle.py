@@ -2,12 +2,14 @@
 
 `check_matrix` is the one verdict entry point: it answers every model
 variant of a test from one exploration.  One SCC decomposition of the
-monitored LTS and one list of the transitions into each of its states
-serve every model.  The weak and strong checks read a model's fair sets
-off the monitored LTS, whose `facts` list holds the stepped and
-terminated thread masks of each state.  Thread sets stay int
-bitmasks throughout (bit t for thread t); only witnesses turn them into
-frozensets.
+monitored LTS and one list of the `(src, tid)` edges into each of its
+states serve every model.  The weak and strong checks read a model's
+fair sets off the monitored LTS, whose `facts` list holds the stepped
+and terminated thread masks of each state.  Every pass walks the LTS's
+per-state `(dst, tid)` successor lists; a witness is a breadth-first
+path of `(src, dst, tid)` steps, turned into `WitnessStep`s only at the
+end.  Thread sets stay int bitmasks throughout (bit t for thread t);
+only witnesses turn them into frozensets.
 
 The weak check asks whether a scheduler obeying the model's guarantees
 can still run forever: it fails exactly when some reachable nontrivial
@@ -92,80 +94,74 @@ class Verdict:
 
 
 def _witness_steps(
-    lts: Lts, transition_ids: list[int], fair: list[int]
+    lts: Lts, steps: list[tuple[int, int, int]], fair: list[int]
 ) -> tuple[WitnessStep, ...]:
-    steps = []
-    for idx in transition_ids:
-        tr = lts.transitions[idx]
-        pc = lts.states[tr.src].pcs[tr.tid]
-        instr = lts.test.threads[tr.tid][pc]
-        steps.append(WitnessStep(tr.tid, pc, instr, frozenset(thread_ids(fair[tr.src]))))
-    return tuple(steps)
+    out = []
+    for src, _, tid in steps:
+        pc = lts.states[src].pcs[tid]
+        instr = lts.test.threads[tid][pc]
+        out.append(WitnessStep(tid, pc, instr, frozenset(thread_ids(fair[src]))))
+    return tuple(out)
 
 
 def _bfs(
     lts: Lts,
     start: int,
-    goal: Callable[[int], bool],
-    keep: Callable[[int], bool] | None = None,
-) -> list[int]:
-    """Shortest transition-id path from `start` ending in a `goal` edge.
+    goal: Callable[[int, int], bool],
+    inside: set[int] | None = None,
+) -> list[tuple[int, int, int]]:
+    """Shortest path of `(src, dst, tid)` steps from `start` whose last
+    step `(dst, tid)` passes `goal`.
 
-    Only transitions passing `keep` (default: all) are followed.  Each
-    node's out-edges are tested against `goal` before any is expanded,
-    so the path ends at the first goal edge of the nearest node that has
-    one.
+    Given `inside`, a set of states, only edges into it are followed.
+    Each node's out-edges are tested against `goal` before any is
+    expanded, so the path ends at the first goal edge of the nearest
+    node that has one.
     """
-    back: dict[int, int] = {start: -1}
+    back: dict[int, tuple[int, int, int] | None] = {start: None}
     queue = [start]
     for node in queue:
-        out = [t for t in lts.out[node] if keep is None or keep(t)]
-        for tidx in out:
-            if goal(tidx):
-                path = [tidx]
-                while node != start:
-                    tidx = back[node]
-                    path.append(tidx)
-                    node = lts.transitions[tidx].src
+        out = lts.out[node] if inside is None else [e for e in lts.out[node] if e[0] in inside]
+        for dst, tid in out:
+            if goal(dst, tid):
+                path = [(node, dst, tid)]
+                while (step := back[node]) is not None:
+                    path.append(step)
+                    node = step[0]
                 path.reverse()
                 return path
-        for tidx in out:
-            dst = lts.transitions[tidx].dst
+        for dst, tid in out:
             if dst not in back:
-                back[dst] = tidx
+                back[dst] = (node, dst, tid)
                 queue.append(dst)
     raise ValueError("no path reaches the goal")
 
 
 def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
-    """Shortest path to the SCC, then a closed walk stepping every F-thread."""
-    trs = lts.transitions
+    """Shortest path to the SCC, then a closed walk stepping every F-thread.
+
+    From a member, the edges into the SCC are exactly its internal edges,
+    so the walk follows only edges into `members`.
+    """
     members = set(scc.members)
-
-    # From a member, the edges into the SCC are exactly its internal edges.
-    def inside(t: int) -> bool:
-        return trs[t].dst in members
-
-    path_ids: list[int] = []
+    path = []
     if lts.initial not in members:
-        path_ids = _bfs(lts, lts.initial, inside)
-    entry = trs[path_ids[-1]].dst if path_ids else lts.initial
+        path = _bfs(lts, lts.initial, lambda dst, _: dst in members)
+    entry = path[-1][1] if path else lts.initial
 
-    cycle_ids: list[int] = []
+    cycle = []
     cur = entry
-    for tid in thread_ids(fair[entry]):
-        cycle_ids += _bfs(lts, cur, lambda t: trs[t].tid == tid, inside)
-        cur = trs[cycle_ids[-1]].dst
-    if not cycle_ids:
+    for t in thread_ids(fair[entry]):
+        cycle += _bfs(lts, cur, lambda _, tid: tid == t, members)
+        cur = cycle[-1][1]
+    if not cycle:
         # Empty fair set: any nonempty closed walk witnesses the loop.
-        cycle_ids.append(next(t for t in lts.out[entry] if inside(t)))
-        cur = trs[cycle_ids[0]].dst
+        cycle.append(next((entry, dst, tid) for dst, tid in lts.out[entry] if dst in members))
+        cur = cycle[0][1]
     if cur != entry:
-        cycle_ids += _bfs(lts, cur, lambda t: trs[t].dst == entry, inside)
+        cycle += _bfs(lts, cur, lambda dst, _: dst == entry, members)
     return Witness(
-        WitnessKind.CYCLE,
-        _witness_steps(lts, path_ids, fair),
-        _witness_steps(lts, cycle_ids, fair),
+        WitnessKind.CYCLE, _witness_steps(lts, path, fair), _witness_steps(lts, cycle, fair)
     )
 
 
@@ -191,12 +187,12 @@ def _strong(lts: Lts, into: list[list[tuple[int, int]]], fair: list[int]) -> Ver
     if all(good):
         return Verdict(True)
     stuck = good.index(False)
-    path_ids: list[int] = []
+    path = []
     if stuck != lts.initial:
-        path_ids = _bfs(lts, lts.initial, lambda t: lts.transitions[t].dst == stuck)
+        path = _bfs(lts, lts.initial, lambda dst, _: dst == stuck)
     witness = Witness(
         WitnessKind.STUCK,
-        _witness_steps(lts, path_ids, fair),
+        _witness_steps(lts, path, fair),
         (),
         lts.states[stuck],
         frozenset(thread_ids(fair[stuck])),
@@ -221,8 +217,9 @@ def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict
     lts = build_monitored_lts(plain, max_states)
     sccs = scc_decompose(lts)
     into: list[list[tuple[int, int]]] = [[] for _ in lts.states]
-    for tr in lts.transitions:
-        into[tr.dst].append((tr.src, tr.tid))
+    for src, edges in enumerate(lts.out):
+        for dst, tid in edges:
+            into[dst].append((src, tid))
     for model, flavor in variants:
         if flavor is Fairness.WEAK:
             fair = lts.fair_sets(model)

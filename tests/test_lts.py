@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import naive
-from progress_lab.axb import AxbInstruction, LitmusTest
+from progress_lab.axb import AxbInstruction, LitmusTest, step
 from progress_lab.lts import (
     ExplorationLimitError,
     build_monitored_lts,
@@ -110,17 +110,21 @@ def both_kinds(test):
     return {"plain": plain, "monitored": build_monitored_lts(plain)}
 
 
-def test_out_edges_index_transitions(idioms):
-    """Each state's out-edges are one contiguous run of transition ids,
-    in ascending thread id, for every idiom and both LTS kinds."""
+def test_out_lists_successors_in_thread_order(idioms):
+    """Each state's successors are `(dst, tid)` pairs in ascending thread
+    id, each the state thread `tid`'s step reaches, and `transitions`
+    lays them out flat by source state, for every idiom and both LTS
+    kinds."""
     for name, test in idioms.items():
         for kind, lts in both_kinds(test).items():
             assert len(lts.out) == len(lts)
-            assert [ti for edges in lts.out for ti in edges] == list(range(len(lts.transitions)))
+            flat = [(si, dst, tid) for si, edges in enumerate(lts.out) for dst, tid in edges]
+            assert [(tr.src, tr.dst, tr.tid) for tr in lts.transitions] == flat, (name, kind)
             for si, edges in enumerate(lts.out):
-                assert all(lts.transitions[ti].src == si for ti in edges), (name, kind)
-                tids = [lts.transitions[ti].tid for ti in edges]
+                tids = [tid for _, tid in edges]
                 assert tids == sorted(set(tids)), (name, kind, si)
+                for dst, tid in edges:
+                    assert lts.states[dst] == step(test, lts.states[si], tid), (name, kind, si)
 
 
 def test_end_states_are_the_states_without_out_edges(idioms):
@@ -183,8 +187,7 @@ def test_scc_decompose_matches_mutual_reachability(t):
         for s in range(len(lts)):
             seen, stack = {s}, [s]
             while stack:
-                for ti in lts.out[stack.pop()]:
-                    dst = lts.transitions[ti].dst
+                for dst, _ in lts.out[stack.pop()]:
                     if dst not in seen:
                         seen.add(dst)
                         stack.append(dst)
