@@ -17,6 +17,7 @@ multi-instance test.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -350,7 +351,22 @@ def _amber_script(artifact: KernelArtifact) -> str:
 
 
 def emit_suite(tests, configs, out_dir: str | Path) -> dict:
-    """One artifact per (test, config); returns and writes the manifest."""
+    """One artifact per (test, config); returns and writes the manifest.
+
+    Raises ValueError, before writing anything, if two (test, config)
+    pairs would share a file.
+    """
+    tests = list(tests)
+    # An Amber companion is named after its GLSL kernel, so the kernels'
+    # names decide every clash.
+    fnames = Counter(
+        f"{test.name}.{config.variant.value}.{BACKENDS[config.backend].extension}"
+        for test in tests
+        for config in configs
+    )
+    clashes = sorted(f for f, count in fnames.items() if count > 1)
+    if clashes:
+        raise ValueError(f"artifacts share file names: {', '.join(clashes)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 from .axb import LitmusTest
@@ -15,12 +16,20 @@ def save_suite(
     out_dir: str | Path,
     lts_sizes=None,
 ) -> Path:
-    """Write one file per test and the index; returns the index path."""
+    """Write one file per test and the index; returns the index path.
+
+    Raises ValueError, before writing anything, if two tests would share
+    a file.
+    """
+    tests = list(tests)
+    fnames = [f"{test.name}.litmus" for test in tests]
+    clashes = sorted(f for f, count in Counter(fnames).items() if count > 1)
+    if clashes:
+        raise ValueError(f"tests share file names: {', '.join(clashes)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, test in enumerate(tests):
-        fname = f"{test.name}.litmus"
+    for i, (test, fname) in enumerate(zip(tests, fnames)):
         (out / fname).write_text(serialize_litmus(test), encoding="utf-8")
         entry = {"name": test.name, "file": fname}
         if lts_sizes is not None:

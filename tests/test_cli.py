@@ -258,6 +258,20 @@ def test_emit_suite(suite22, tmp_path, capsys):
     assert len(list(out.glob("*.amber"))) == 20
 
 
+def test_emit_rejects_tests_that_share_a_name(tmp_path, capsys):
+    # Two files whose `test` lines agree would write one kernel over the other.
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for fname in ("a.litmus", "b.litmus"):
+        (suite / fname).write_text(Path(MUTEX).read_text())
+    out = tmp_path / "kernels"
+    assert main(["emit", "--suite", str(suite), "--backend", "glsl", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error [emit]: artifacts share file names: mutex.plain.comp\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_emit_rejects_bad_instances(suite22, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["emit", "--suite", str(suite22), "--backend", "cuda", "--variant", "chunked",

@@ -280,6 +280,14 @@ def test_emit_suite_manifest(idioms, tmp_path):
             assert entry["workgroups"] == 4
 
 
+def test_emit_suite_rejects_configs_that_share_a_file(idioms, tmp_path):
+    # Both configs name the same `mutex.chunked.cu`, whatever their instances.
+    configs = [EmitConfig(Backend.CUDA, Variant.CHUNKED, m) for m in (2, 4)]
+    with pytest.raises(ValueError, match=r"^artifacts share file names: mutex\.chunked\.cu$"):
+        emit_suite([idioms["mutex"]], configs, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_emit_suite_emits_each_glsl_kernel_once(idioms, tmp_path, monkeypatch):
     from progress_lab import emit
 

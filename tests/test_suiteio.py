@@ -1,6 +1,7 @@
 """Suite directory round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,13 @@ def test_load_without_index_sorts_filenames(idioms, tmp_path):
     save_suite(tests, tmp_path)
     (tmp_path / "suite.json").unlink()
     assert [t.name for t in load_suite(tmp_path)] == ["dining", "mutex"]
+
+
+def test_save_rejects_tests_that_share_a_name(idioms, tmp_path):
+    renamed = replace(idioms["dining"], name="mutex")
+    with pytest.raises(ValueError, match=r"^tests share file names: mutex\.litmus$"):
+        save_suite([idioms["mutex"], renamed], tmp_path / "suite")
+    assert not (tmp_path / "suite").exists()
 
 
 def test_load_missing_directory(tmp_path):
