@@ -287,6 +287,14 @@ def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str
     return head + "[\n" + ",\n".join(groups) + "\n  ]\n}\n"
 
 
+def _int(doc: dict, key: str) -> int:
+    """`doc[key]`, which must be an int; JSON `true` and `1.0` are not."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_harness(source: str) -> LitmusTest:
     """Rebuild the runnable litmus test from a harness artifact."""
     doc = json.loads(source)
@@ -295,15 +303,20 @@ def load_harness(source: str) -> LitmusTest:
             raise ValueError("not a harness artifact")
         threads = tuple(
             tuple(
-                AxbInstruction(p["loc"], p["cmp"], p["jump"], p["exch"])
+                AxbInstruction(
+                    _int(p, "loc"),
+                    _int(p, "cmp"),
+                    _int(p, "jump"),
+                    None if p["exch"] is None else _int(p, "exch"),
+                )
                 for p in group["program"]
             )
             for group in doc["workgroups"]
         )
         return LitmusTest(
             name=doc["name"],
-            num_locations=doc["memory_cells"],
-            value_domain=doc["value_domain"],
+            num_locations=_int(doc, "memory_cells"),
+            value_domain=_int(doc, "value_domain"),
             threads=threads,
         )
     except (AttributeError, KeyError, TypeError) as exc:

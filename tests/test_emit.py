@@ -229,6 +229,19 @@ def test_load_harness_rejects_other_json(idioms):
             load_harness(json.dumps(renamed))
 
 
+def test_load_harness_rejects_numbers_that_are_not_integers(idioms):
+    # 0.0 would serialize as `loc=0.0`, which parse_litmus rejects, and
+    # `true` as `locations True`.
+    source = emit_kernel(idioms["mutex"], EmitConfig(Backend.HARNESS)).source
+    loc, jump, cells = (json.loads(source) for _ in range(3))
+    loc["workgroups"][0]["program"][0]["loc"] = 0.0
+    jump["workgroups"][0]["program"][0]["jump"] = 1.0
+    cells["memory_cells"] = True
+    for key, doc in (("loc", loc), ("jump", jump), ("memory_cells", cells)):
+        with pytest.raises(ValueError, match=f"^malformed harness artifact: TypeError: {key} must"):
+            load_harness(json.dumps(doc))
+
+
 def test_timeouts_and_extensions():
     assert BACKENDS[Backend.CUDA].timeout_seconds == 20
     assert BACKENDS[Backend.GLSL].timeout_seconds == 5
