@@ -18,6 +18,7 @@ from progress_lab.classify import (
     write_report,
 )
 from progress_lab.models import default_hierarchy
+from progress_lab.oracle import check_matrix
 
 I = AxbInstruction
 
@@ -173,6 +174,17 @@ def _count_checks(monkeypatch):
 
 # A spinner waiting on a flag at location 1, over two locations.
 SPIN = LitmusTest("a", 2, 2, ((I(0, 0, 1, exch=1), I(1, 0, 2, exch=1)), (I(1, 0, 0),)))
+
+
+@pytest.mark.parametrize("bounds", [None, (2, 2), (2, 3), (3, 3)])
+def test_rows_equal_direct_checks(bounds, idioms, suites):
+    """Every row `classify_suite` shares equals the test's own matrix."""
+    tests = list(idioms.values()) if bounds is None else capped_tests(suites(*bounds), bounds)
+    report = classify_suite(tests)
+    assert report.errors == {}
+    for test in tests:
+        direct = {tok: v.passed for tok, v in check_matrix(test).items()}
+        assert report.matrix[test.name] == direct, test.name
 
 
 def test_one_check_per_location_orbit(suites, monkeypatch):
