@@ -35,7 +35,7 @@ from .models import (
     fair_set,
     variant_token,
 )
-from .oracle import Verdict, Witness, check_matrix
+from .oracle import Verdict, Witness, check_matrix, verify_witness
 from .schedsim import RunOutcome, SchedulerKind, SchedulerSpec, campaign, simulate
 from .suiteio import load_suite, save_suite
 from .synth import SynthConfig, SynthResult, synthesize
@@ -85,5 +85,6 @@ __all__ = [
     "step",
     "synthesize",
     "variant_token",
+    "verify_witness",
     "write_report",
 ]

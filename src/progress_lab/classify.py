@@ -21,6 +21,17 @@ thus a scalarset in the sense of Ip & Dill ("Better verification
 through symmetry", FMSD 1996), and every test of an orbit gets the same
 verdict in every column.  Synthesis without symmetry reduction keeps
 both location twins, so on its suites this halves the oracle runs.
+
+A second, coarser key shares rows between orbits.  `check_matrix` reads
+a test only through its plain LTS: the verdicts are a function of the
+thread count, the plain LTS's successor lists and each plain state's
+terminated-thread mask (see `oracle`), since the monitored LTS, the
+fair sets and every check read nothing else.  Two tests that agree on
+these three get the same row, whatever their instructions and memory.
+So each new orbit's plain LTS is built once, and `check_matrix` runs,
+on that LTS, only for a state space not seen before: Ip & Dill's one
+member per class of equivalent state spaces.  The 2,313 location
+orbits of the capped (3,4) suite have 867 distinct plain LTSs.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lts import DEFAULT_MAX_STATES
+from .lts import DEFAULT_MAX_STATES, Lts, build_plain_lts
 from .models import (
     Fairness,
     Hierarchy,
@@ -87,12 +98,14 @@ def classify_suite(
     below both.  Rows are keyed by test name, so a name shared by two
     tests raises ValueError.
 
-    `check_matrix` runs once per location orbit (see the module
-    docstring), keyed by `synth.canonicalize`: on its first test in suite
-    order, and every later member gets its own copy of that row.  A test
-    whose check raises is recorded in `errors` and shares nothing, so
-    each later member of its orbit is checked itself and an error names
-    its own test.
+    Rows are shared twice over (see the module docstring).  The first
+    test of a location orbit, keyed by `synth.canonicalize`, gets its
+    plain LTS built; `check_matrix` runs on it only when no earlier test
+    had the same state space, and every later test of the orbit or the
+    state space gets its own copy of that row.  A test whose check
+    raises is recorded in `errors` and shares nothing, so each later
+    member of its orbit or state space is checked itself and an error
+    names its own test.
     """
     started = time.perf_counter()
     if hierarchy is None:
@@ -104,19 +117,26 @@ def classify_suite(
         raise ValueError(f"duplicate test names: {', '.join(duplicates)}")
     matrix: dict[str, dict[str, bool]] = {}
     errors: dict[str, str] = {}
-    checked: dict[str, str] = {}  # orbit key -> name of the test checked
+    orbits: dict[str, str] = {}  # orbit key -> name of the test whose row it shares
+    spaces: dict[tuple, str] = {}  # state-space key -> name of the test checked
     for test in tests:
-        key = canonicalize(test)
-        if key in checked:
-            matrix[test.name] = dict(matrix[checked[key]])
-            continue
-        try:
-            verdicts = check_matrix(test, max_states=max_states)
-        except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-            errors[test.name] = f"{type(exc).__name__}: {exc}"
-            continue
-        matrix[test.name] = {tok: v.passed for tok, v in verdicts.items()}
-        checked[key] = test.name
+        orbit = canonicalize(test)
+        source = orbits.get(orbit)
+        if source is None:
+            try:
+                plain = build_plain_lts(test, max_states)
+                space = _space_key(plain)
+                source = spaces.get(space)
+                if source is None:
+                    verdicts = check_matrix(test, max_states, plain)
+                    matrix[test.name] = {tok: v.passed for tok, v in verdicts.items()}
+                    source = spaces[space] = test.name
+            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                errors[test.name] = f"{type(exc).__name__}: {exc}"
+                continue
+            orbits[orbit] = source
+        if source != test.name:
+            matrix[test.name] = dict(matrix[source])
 
     classified = [n for n in names if n in matrix]
     weak = tuple(n for n in classified if matrix[n][WEAK_FAIR])
@@ -161,9 +181,10 @@ def classify_suite(
     ]
 
     log.info(
-        "classified %d tests: %d location orbits checked, %d errors, %.2f s",
+        "classified %d tests: %d location orbits, %d distinct LTSs checked, %d errors, %.2f s",
         len(names),
-        len(checked),
+        len(orbits),
+        len(spaces),
         len(errors),
         time.perf_counter() - started,
     )
@@ -179,6 +200,17 @@ def classify_suite(
         errors=errors,
         hierarchy_tokens=tuple(variant_token(v) for v in hierarchy.variants),
     )
+
+
+def _space_key(plain: Lts) -> tuple:
+    """What every verdict of `plain`'s test depends on: the thread count,
+    the successor lists and each state's terminated-thread mask."""
+    test = plain.test
+    ends = [len(program) for program in test.threads]
+    terminated = tuple(
+        sum(1 << t for t, end in enumerate(ends) if m.pcs[t] >= end) for m in plain.states
+    )
+    return test.num_threads, tuple(map(tuple, plain.out)), terminated
 
 
 def matrix_csv(report: SuiteReport) -> str:

@@ -29,7 +29,7 @@ from .lts import (
     build_plain_lts,
 )
 from .models import Fairness, ProgressModel, all_model_variants, default_hierarchy, variant_token
-from .oracle import check_matrix, format_witness
+from .oracle import check_matrix, format_witness, verify_witness
 from .schedsim import DEFAULT_STEP_BUDGET, SchedulerKind, SchedulerSpec, campaign
 from .suiteio import load_suite, load_test, save_suite
 from .synth import SynthConfig, synthesize
@@ -86,11 +86,14 @@ def _cmd_check(args, parser) -> int:
     if args.model != "unfair" and args.fairness is None:
         parser.error(f"--fairness is required for model {args.model!r}")
     flavor = None if args.fairness is None else Fairness(args.fairness)
-    column = variant_token((ProgressModel(args.model), flavor))
+    model = ProgressModel(args.model)
+    column = variant_token((model, flavor))
     mismatches = 0
     for path in args.files:
         test = load_test(path)
         verdict = check_matrix(test, args.max_states)[column]
+        if not verdict.passed:
+            verify_witness(test, model, verdict.witness)
         label = verdict.token
         if len(args.files) == 1:
             print(label)

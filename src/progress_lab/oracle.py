@@ -33,18 +33,42 @@ The unfair model has a single collapsed verdict: with no guarantees at
 all, only an acyclic state space terminates.  It is decided on the
 plain LTS, which is also the input of the monitored LTS (its product
 with the stepped-set monitor), so each check explores the test's
-machine once.
+machine once.  A caller that has built the plain LTS already hands it
+to `check_matrix`.  Every verdict is thus a function of three things
+only: the thread count, the plain LTS's successor lists and each plain
+state's terminated-thread mask.  The monitored LTS is built from them,
+the fair sets read the monitored facts and the thread count, and every
+check walks the successor lists.
+
+A fail verdict builds its witness on demand: `check_matrix` hands it a
+builder, and the first read of `Verdict.witness` runs the breadth-first
+searches.  Reading `passed` builds nothing, so a caller that keeps only
+booleans, as `classify` does, pays for no witness.  `verify_witness`
+replays a witness with `axb.step` and checks that it proves its
+verdict; `check` runs it on every fail it reports.
 """
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .axb import AxbInstruction, LitmusTest, MachineState
+from .axb import AxbInstruction, LitmusTest, MachineState, step
 from .lts import DEFAULT_MAX_STATES, Lts, Scc, build_monitored_lts, build_plain_lts, scc_decompose
-from .models import UNFAIR_VARIANT, Fairness, all_model_variants, thread_ids, variant_token
+from .models import (
+    UNFAIR_VARIANT,
+    Fairness,
+    ProgressModel,
+    all_model_variants,
+    fair_set,
+    thread_ids,
+    variant_token,
+)
+
+log = logging.getLogger(__name__)
 
 
 class WitnessKind(str, Enum):
@@ -79,13 +103,40 @@ class Witness:
     stuck_fair: frozenset[int] | None = None
 
 
-@dataclass(frozen=True, slots=True)
+class _OnDemand:
+    """The `witness` field of `Verdict`.  It stores a `Witness`, None, or
+    a zero-argument builder, which the first read calls and replaces by
+    the witness it returns."""
+
+    def __get__(self, verdict, owner=None):
+        if verdict is None:
+            return None  # the field's default
+        value = verdict._witness
+        if callable(value):
+            value = value()
+            object.__setattr__(verdict, "_witness", value)
+        return value
+
+    def __set__(self, verdict, value) -> None:
+        object.__setattr__(verdict, "_witness", value)
+
+
+@dataclass(frozen=True)
 class Verdict:
+    """A pass, or a fail with the witness that proves it.
+
+    A fail verdict may be given a zero-argument builder in place of its
+    witness, as `check_matrix` does: the first read of `witness` builds
+    it and keeps it, and reading `passed` never does.  Equality, `repr`,
+    `dataclasses.asdict` and `dataclasses.replace` read the witness, so
+    they build it and see the same fields either way.
+    """
+
     passed: bool
-    witness: Witness | None = None
+    witness: Witness | None = _OnDemand()
 
     def __post_init__(self) -> None:
-        if not self.passed and self.witness is None:
+        if not self.passed and self._witness is None:
             raise ValueError("a fail verdict must carry a witness")
 
     @property
@@ -165,10 +216,24 @@ def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
     )
 
 
+def _stuck_witness(lts: Lts, stuck: int, fair: list[int]) -> Witness:
+    """Shortest path to state `stuck`, from which no fair path ends."""
+    path = []
+    if stuck != lts.initial:
+        path = _bfs(lts, lts.initial, lambda dst, _: dst == stuck)
+    return Witness(
+        WitnessKind.STUCK,
+        _witness_steps(lts, path, fair),
+        (),
+        lts.states[stuck],
+        frozenset(thread_ids(fair[stuck])),
+    )
+
+
 def _weak(lts: Lts, sccs: list[Scc], fair: list[int]) -> Verdict:
     for scc in sccs:
         if scc.nontrivial and not fair[scc.members[0]] & ~scc.stepping:
-            return Verdict(False, _cycle_witness(lts, scc, fair))
+            return Verdict(False, partial(_cycle_witness, lts, scc, fair))
     return Verdict(True)
 
 
@@ -186,21 +251,12 @@ def _strong(lts: Lts, into: list[list[tuple[int, int]]], fair: list[int]) -> Ver
                 worklist.append(src)
     if all(good):
         return Verdict(True)
-    stuck = good.index(False)
-    path = []
-    if stuck != lts.initial:
-        path = _bfs(lts, lts.initial, lambda dst, _: dst == stuck)
-    witness = Witness(
-        WitnessKind.STUCK,
-        _witness_steps(lts, path, fair),
-        (),
-        lts.states[stuck],
-        frozenset(thread_ids(fair[stuck])),
-    )
-    return Verdict(False, witness)
+    return Verdict(False, partial(_stuck_witness, lts, good.index(False), fair))
 
 
-def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict[str, Verdict]:
+def check_matrix(
+    test: LitmusTest, max_states: int = DEFAULT_MAX_STATES, plain: Lts | None = None
+) -> dict[str, Verdict]:
     """The verdict of every model variant, keyed by `variant_token`.
 
     Keys follow `all_model_variants()`, the report column order.  The
@@ -209,10 +265,15 @@ def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict
     LTS, one SCC decomposition of it and one list of the transitions
     into each of its states serve the weak and strong checks of every
     model; only the fair sets, derived from the monitored LTS's `facts`,
-    differ.
+    differ.  `plain`, when given, is `build_plain_lts(test, max_states)`
+    built by the caller, and is not explored again.  Fail verdicts build
+    their witnesses on first read.
     """
     variants = all_model_variants()
-    plain = build_plain_lts(test, max_states)
+    if plain is None:
+        plain = build_plain_lts(test, max_states)
+    elif plain.test is not test or plain.facts is not None:
+        raise ValueError(f"check_matrix of {test.name!r} needs that test's plain LTS")
     verdicts = {UNFAIR_VARIANT: _weak(plain, scc_decompose(plain), [0] * len(plain))}
     lts = build_monitored_lts(plain, max_states)
     sccs = scc_decompose(lts)
@@ -225,7 +286,80 @@ def check_matrix(test: LitmusTest, max_states: int = DEFAULT_MAX_STATES) -> dict
             fair = lts.fair_sets(model)
             verdicts[model, Fairness.WEAK] = _weak(lts, sccs, fair)
             verdicts[model, Fairness.STRONG] = _strong(lts, into, fair)
-    return {variant_token(v): verdicts[v] for v in variants}
+    matrix = {variant_token(v): verdicts[v] for v in variants}
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "checked %s: %d plain states, %d monitored states, %d nontrivial SCCs, failing %s",
+            test.name,
+            len(plain),
+            len(lts),
+            sum(scc.nontrivial for scc in sccs),
+            " ".join(tok for tok, v in matrix.items() if not v.passed) or "none",
+        )
+    return matrix
+
+
+def verify_witness(test: LitmusTest, model: ProgressModel, witness: Witness) -> None:
+    """Replay `witness` with `axb.step`; raise ValueError unless it
+    proves a fail of `model`: of its weak check (or the unfair verdict)
+    for a cycle, of its strong check for a stuck state.
+
+    Every step must run the instruction at its thread's pc and record
+    the fair set that `model` gives its source state, from the threads
+    stepped so far and those terminated there.  A cycle must be
+    nonempty, come back to the machine state and fair set it left, and
+    step every thread of that fair set, so repeating it forever is a
+    run that the model allows.  A stuck state must be where the path
+    ends and record its fair set, and no path of fair steps from it may
+    reach a state with an empty fair set; an end state has one.
+    """
+    n = test.num_threads
+    lengths = [len(program) for program in test.threads]
+
+    def fair(state: MachineState, stepped: int) -> int:
+        terminated = sum(1 << t for t in range(n) if state.pcs[t] >= lengths[t])
+        return fair_set(model, stepped, terminated, n)
+
+    state, stepped = test.initial_state(), 0
+
+    def replay(steps: tuple[WitnessStep, ...], part: str) -> None:
+        nonlocal state, stepped
+        for i, s in enumerate(steps):
+            where = f"{part} step {i} (T{s.tid} pc={s.pc})"
+            if not (0 <= s.tid < n and s.pc == state.pcs[s.tid] < lengths[s.tid]):
+                raise ValueError(f"witness {where}: thread is not at that pc")
+            if s.instr != test.threads[s.tid][s.pc]:
+                raise ValueError(f"witness {where}: instruction differs from the test's")
+            if s.fair_before != frozenset(thread_ids(fair(state, stepped))):
+                raise ValueError(f"witness {where}: fair set differs from the model's")
+            state = step(test, state, s.tid)
+            stepped |= 1 << s.tid
+
+    replay(witness.path, "path")
+    owed = fair(state, stepped)
+    if witness.kind is WitnessKind.CYCLE:
+        entry = state
+        replay(witness.cycle, "cycle")
+        if not witness.cycle or state != entry or fair(state, stepped) != owed:
+            raise ValueError("witness cycle does not close")
+        if owed & ~sum(1 << t for t in {s.tid for s in witness.cycle}):
+            raise ValueError("witness cycle skips a thread of its fair set")
+        return
+    if witness.cycle or state != witness.stuck_machine:
+        raise ValueError("witness path does not end at its stuck state")
+    if witness.stuck_fair != frozenset(thread_ids(owed)):
+        raise ValueError("witness stuck state's fair set differs from the model's")
+    seen = {(state, stepped)}
+    queue = [(state, stepped)]
+    for state, stepped in queue:
+        owed = fair(state, stepped)
+        if not owed:
+            raise ValueError("a fair path from the witness's stuck state reaches an end")
+        for t in thread_ids(owed):
+            nxt = (step(test, state, t), stepped | 1 << t)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
 
 
 def format_witness(witness: Witness) -> str:

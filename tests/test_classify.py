@@ -187,22 +187,34 @@ def test_rows_equal_direct_checks(bounds, idioms, suites):
         assert report.matrix[test.name] == direct, test.name
 
 
-def test_one_check_per_location_orbit(suites, monkeypatch):
+def test_one_check_per_distinct_plain_lts(suites, monkeypatch):
+    # 464 location orbits share 240 plain state spaces.
     tests = capped_tests(suites(2, 3), (2, 3))
     checked = _count_checks(monkeypatch)
     report = classify_suite(tests)
-    assert (len(tests), len(checked), len(report.matrix)) == (928, 464, 928)
+    assert (len(tests), len(checked), len(report.matrix)) == (928, 240, 928)
 
 
 def test_each_twin_error_names_its_own_test(monkeypatch):
     twin = LitmusTest("b", 2, 2, relabel_locations(SPIN.threads, (1, 0)))
     checked = _count_checks(monkeypatch)
+    # One state is too few for the plain LTS, which classify builds itself.
     report = classify_suite([SPIN, twin], max_states=1)
-    assert checked == ["a", "b"]
+    assert checked == []
     assert report.matrix == {}
     assert report.errors == {
         "a": "ExplorationLimitError: plain LTS of 'a' exceeds 1 states",
         "b": "ExplorationLimitError: plain LTS of 'b' exceeds 1 states",
+    }
+    # SPIN's plain LTS has 4 states and its monitored LTS 7, so with 4
+    # the check itself raises, and the twin sharing the state space is
+    # checked again.
+    report = classify_suite([SPIN, twin], max_states=4)
+    assert checked == ["a", "b"]
+    assert report.matrix == {}
+    assert report.errors == {
+        "a": "ExplorationLimitError: monitored LTS of 'a' exceeds 4 states",
+        "b": "ExplorationLimitError: monitored LTS of 'b' exceeds 4 states",
     }
 
 
@@ -219,13 +231,14 @@ def test_twins_get_their_own_rows(monkeypatch):
 
 def test_orbit_key_ignores_unused_locations(monkeypatch):
     # Locations 0 and 2 of three, relabeled onto 0 and 1: one orbit.  The
-    # same threads over two locations are a different test.
+    # same threads over two locations are a different orbit, but with the
+    # same plain LTS, so it shares the row too.
     uses_0_2 = LitmusTest("uses-0-2", 3, 2, relabel_locations(SPIN.threads, (0, 2)))
     uses_0_1 = LitmusTest("uses-0-1", 3, 2, SPIN.threads)
     checked = _count_checks(monkeypatch)
     report = classify_suite([uses_0_2, uses_0_1, SPIN])
-    assert checked == ["uses-0-2", "a"]
-    assert report.matrix["uses-0-2"] == report.matrix["uses-0-1"]
+    assert checked == ["uses-0-2"]
+    assert report.matrix["uses-0-2"] == report.matrix["uses-0-1"] == report.matrix["a"]
 
 
 def test_logs_one_line_per_suite(idioms, caplog):
@@ -234,6 +247,6 @@ def test_logs_one_line_per_suite(idioms, caplog):
     [record] = caplog.records
     assert record.levelno == logging.INFO
     assert re.fullmatch(
-        r"classified 6 tests: 6 location orbits checked, 0 errors, \d+\.\d\d s",
+        r"classified 6 tests: 6 location orbits, 6 distinct LTSs checked, 0 errors, \d+\.\d\d s",
         record.getMessage(),
     )

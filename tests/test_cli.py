@@ -7,11 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import progress_lab
+from progress_lab import cli, oracle
 from progress_lab.cli import main
 
 IDIOM_DIR = Path(__file__).parent.parent / "docs" / "idioms"
@@ -68,6 +70,36 @@ def test_check_failure_with_witness(capsys):
     assert out.startswith("fail\n")
     assert "# path" in out
     assert "# cycle" in out
+
+
+def test_check_rejects_a_witness_that_fails_verification(monkeypatch, capsys):
+    # A cycle that skips its last step no longer closes; check refuses to
+    # report the fail, with or without --witness.
+    def broken(test, max_states):
+        matrix = oracle.check_matrix(test, max_states)
+        witness = matrix["weak-hsa"].witness
+        matrix["weak-hsa"] = oracle.Verdict(False, replace(witness, cycle=witness.cycle[:-1]))
+        return matrix
+
+    monkeypatch.setattr(cli, "check_matrix", broken)
+    for extra in ([], ["--witness"]):
+        assert main(["check", MUTEX, "--model", "hsa", "--fairness", "weak", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error [check]: witness cycle does not close\n"
+    assert main(["check", MUTEX, "--model", "obe", "--fairness", "weak"]) == 0
+
+
+def test_check_logs_its_matrix_at_debug(caplog, package_log_level, capsys):
+    argv = ["--log-level", "debug", "check", MUTEX, "--model", "hsa", "--fairness", "weak"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "fail\n"
+    [record] = [r for r in caplog.records if r.name == "progress_lab.oracle"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == (
+        "checked mutex: 8 plain states, 12 monitored states, 2 nontrivial SCCs, "
+        "failing unfair weak-hsa strong-hsa"
+    )
 
 
 def test_check_multiple_files_labels_lines(capsys):
@@ -174,8 +206,8 @@ def test_classify_logs_its_summary_at_info(suite22, tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == quiet
     assert re.fullmatch(
-        r"INFO progress_lab\.classify: classified 20 tests: 10 location orbits checked, "
-        r"0 errors, \d+\.\d\d s\n",
+        r"INFO progress_lab\.classify: classified 20 tests: 10 location orbits, "
+        r"8 distinct LTSs checked, 0 errors, \d+\.\d\d s\n",
         proc.stderr,
     )
 
@@ -194,7 +226,8 @@ def test_log_level_applies_in_process(suite22, tmp_path, caplog, package_log_lev
     [record] = [r for r in caplog.records if r.name == "progress_lab.classify"]
     assert record.levelno == logging.INFO
     assert re.fullmatch(
-        r"classified 20 tests: 10 location orbits checked, 0 errors, \d+\.\d\d s",
+        r"classified 20 tests: 10 location orbits, 8 distinct LTSs checked, 0 errors, "
+        r"\d+\.\d\d s",
         record.getMessage(),
     )
 

@@ -1,5 +1,6 @@
 """Verdicts, witnesses, and agreement with the naive reference oracles."""
 
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,16 @@ from progress_lab.models import (
     all_model_variants,
     variant_token,
 )
-from progress_lab.oracle import Verdict, WitnessKind, check_matrix, format_witness
+from progress_lab import classify, oracle
+from progress_lab.oracle import (
+    Verdict,
+    Witness,
+    WitnessKind,
+    WitnessStep,
+    check_matrix,
+    format_witness,
+    verify_witness,
+)
 from strategies import litmus_tests
 
 I = AxbInstruction
@@ -62,6 +72,153 @@ def test_fail_verdict_requires_witness():
     with pytest.raises(ValueError):
         Verdict(False)
     assert Verdict(True).witness is None
+
+
+def _count_witness_builds(monkeypatch):
+    calls = []
+    original = oracle._witness_steps
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_witness_steps", counting)
+    return calls
+
+
+def test_classify_builds_no_witness(idioms, suites, monkeypatch):
+    from conftest import capped_tests
+
+    calls = _count_witness_builds(monkeypatch)
+    classify.classify_suite(idioms.values())
+    classify.classify_suite(capped_tests(suites(2, 3), (2, 3)))
+    assert calls == []
+
+
+def test_witness_is_built_once_on_first_read(idioms, monkeypatch):
+    calls = _count_witness_builds(monkeypatch)
+    verdict = check_matrix(idioms["mutex"])[variant_token((ProgressModel.HSA, WEAK))]
+    assert not verdict.passed and verdict.token == "fail"
+    assert calls == []
+    first = verdict.witness
+    built = len(calls)
+    assert built > 0  # a cycle witness formats its path and its cycle
+    assert verdict.witness is first
+    assert len(calls) == built
+
+
+def test_verdict_with_a_builder_behaves_as_one_with_its_witness(idioms):
+    fields = tuple(f.name for f in dataclasses.fields(Verdict))
+    assert fields == ("passed", "witness")
+    for tok, lazy in check_matrix(idioms["prodcons-decreasing"]).items():
+        if lazy.passed:
+            continue
+        twin = check_matrix(idioms["prodcons-decreasing"])[tok]
+        eager = Verdict(False, twin.witness)
+        assert repr(lazy) == repr(eager)
+        lazy = check_matrix(idioms["prodcons-decreasing"])[tok]
+        assert lazy == eager and hash(lazy) == hash(eager)
+        lazy = check_matrix(idioms["prodcons-decreasing"])[tok]
+        assert dataclasses.asdict(lazy) == dataclasses.asdict(eager)
+        lazy = check_matrix(idioms["prodcons-decreasing"])[tok]
+        assert replace(lazy, passed=False) == eager
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eager.witness = None
+
+
+MODEL_OF = {variant_token(v): v[0] for v in all_model_variants()}
+
+
+def test_every_idiom_failure_verifies(idioms):
+    fails = 0
+    for test in idioms.values():
+        for tok, verdict in check_matrix(test).items():
+            if not verdict.passed:
+                verify_witness(test, MODEL_OF[tok], verdict.witness)
+                fails += 1
+    assert fails == 66 - sum(len(passes) for passes in IDIOM_PASSES.values())
+
+
+# Thread 0 spins on location 0 until thread 1 writes it and exits.
+WAITER = LitmusTest("waiter", 1, 2, ((I(0, 0, 0),), (I(0, 1, 1, exch=1),)))
+
+
+def _spin_step(fair):
+    return WitnessStep(0, 0, WAITER.threads[0][0], frozenset(fair))
+
+
+def test_verify_witness_checks_cycles_against_the_model():
+    # Thread 0 alone spinning is an unfair run, but it starves thread 1
+    # under full fairness.
+    spin = Witness(WitnessKind.CYCLE, (), (_spin_step(()),))
+    verify_witness(WAITER, ProgressModel.UNFAIR, spin)
+    with pytest.raises(ValueError, match="fair set differs"):
+        verify_witness(WAITER, ProgressModel.FAIR, spin)
+    starving = Witness(WitnessKind.CYCLE, (), (_spin_step({0, 1}),))
+    with pytest.raises(ValueError, match="skips a thread of its fair set"):
+        verify_witness(WAITER, ProgressModel.FAIR, starving)
+    # Under HSA only thread 0 is owed a step, and it takes it.
+    verify_witness(WAITER, ProgressModel.HSA, Witness(WitnessKind.CYCLE, (), (_spin_step({0}),)))
+
+
+def test_verify_witness_checks_stuck_states():
+    start = WAITER.initial_state()
+    # HSA owes only thread 0, which spins forever: stuck.
+    verify_witness(WAITER, ProgressModel.HSA, Witness(WitnessKind.STUCK, (), (), start, frozenset({0})))
+    # Full fairness owes thread 1 too, whose step lets thread 0 exit.
+    with pytest.raises(ValueError, match="reaches an end"):
+        verify_witness(
+            WAITER, ProgressModel.FAIR, Witness(WitnessKind.STUCK, (), (), start, frozenset({0, 1}))
+        )
+    with pytest.raises(ValueError, match="reaches an end"):
+        verify_witness(WAITER, ProgressModel.UNFAIR, Witness(WitnessKind.STUCK, (), (), start, frozenset()))
+
+
+def _mutations(witness):
+    """Hand-broken copies of `witness`, each of which must be rejected."""
+    out = []
+    field = "path" if witness.path else "cycle"
+    steps = getattr(witness, field)
+    if steps:
+        first = steps[0]
+        for bad in (
+            replace(first, pc=first.pc + 1),
+            replace(first, tid=first.tid + 1),
+            replace(first, instr=replace(first.instr, cmp=1 - first.instr.cmp)),
+            replace(first, fair_before=first.fair_before ^ {0}),
+        ):
+            out.append(replace(witness, **{field: (bad,) + steps[1:]}))
+    if witness.path:
+        out.append(replace(witness, path=witness.path[1:]))
+    if witness.kind is WitnessKind.CYCLE:
+        out.append(replace(witness, cycle=witness.cycle[:-1]))
+        out.append(replace(witness, cycle=()))
+    else:
+        machine = witness.stuck_machine
+        memory = (1 - machine.memory[0],) + machine.memory[1:]
+        out.append(replace(witness, stuck_machine=replace(machine, memory=memory)))
+        out.append(replace(witness, stuck_fair=witness.stuck_fair ^ {0}))
+        out.append(replace(witness, kind=WitnessKind.CYCLE))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name, variant",
+    [
+        ("mutex", (ProgressModel.HSA, WEAK)),
+        ("dining", (ProgressModel.FAIR, WEAK)),
+        ("mutex", UNFAIR_VARIANT),
+        ("prodcons-decreasing", (ProgressModel.HSA, STRONG)),
+        ("prodcons-decreasing", (ProgressModel.OBE, STRONG)),
+    ],
+)
+def test_verify_witness_rejects_mutated_witnesses(idioms, name, variant):
+    test = idioms[name]
+    witness = check_matrix(test)[variant_token(variant)].witness
+    verify_witness(test, variant[0], witness)
+    for bad in _mutations(witness):
+        with pytest.raises(ValueError):
+            verify_witness(test, variant[0], bad)
 
 
 def test_every_idiom_failure_replays(idioms):
@@ -366,6 +523,7 @@ def test_witness_paths_are_shortest(t):
         witness = matrix[variant_token((model, flavor))].witness
         if witness is None:
             continue
+        verify_witness(t, model, witness)
         root, adj = _naive_graph(t, model)
         dist = {root: 0}
         queue = [root]
