@@ -349,14 +349,14 @@ def verify_witness(test: LitmusTest, model: ProgressModel, witness: Witness) -> 
         raise ValueError("witness path does not end at its stuck state")
     if witness.stuck_fair != frozenset(thread_ids(owed)):
         raise ValueError("witness stuck state's fair set differs from the model's")
-    seen = {(state, stepped)}
     queue = [(state, stepped)]
-    for state, stepped in queue:
-        owed = fair(state, stepped)
+    seen = set(queue)
+    for machine, mask in queue:
+        owed = fair(machine, mask)
         if not owed:
             raise ValueError("a fair path from the witness's stuck state reaches an end")
         for t in thread_ids(owed):
-            nxt = (step(test, state, t), stepped | 1 << t)
+            nxt = (step(test, machine, t), mask | 1 << t)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
