@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import naive
 from conftest import IDIOM_PASSES
+from progress_lab import classify, oracle
 from progress_lab.axb import AxbInstruction, LitmusTest, MachineState, relabel_locations
 from progress_lab.lts import ExplorationLimitError
 from progress_lab.models import (
@@ -18,7 +19,6 @@ from progress_lab.models import (
     all_model_variants,
     variant_token,
 )
-from progress_lab import classify, oracle
 from progress_lab.oracle import (
     Verdict,
     Witness,
@@ -113,6 +113,7 @@ def test_verdict_with_a_builder_behaves_as_one_with_its_witness(idioms):
     for tok, lazy in check_matrix(idioms["prodcons-decreasing"]).items():
         if lazy.passed:
             continue
+        # Each comparison starts from a verdict whose witness is unbuilt.
         twin = check_matrix(idioms["prodcons-decreasing"])[tok]
         eager = Verdict(False, twin.witness)
         assert repr(lazy) == repr(eager)
