@@ -253,3 +253,55 @@ def test_simulate_outcomes_are_pinned(idioms):
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert len(rows) == 4428
     assert digest == GOLDEN.joinpath("simulate_outcomes.sha256").read_text().strip()
+
+
+def _assert_layouts_match_naive(idioms, instances, specs, iterations):
+    """Every idiom in both layouts under `specs`; returns the proved loops."""
+    proved = 0
+    for test in idioms.values():
+        for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN):
+            layout = expand_layout(test, variant, instances)
+            for spec in specs:
+                for it in range(iterations):
+                    seeded = replace(spec, seed=derive_seed(0, layout.name, spec, it))
+                    outcome = simulate(layout, seeded)
+                    assert outcome == RunOutcome(*naive_simulate(layout, seeded)), (
+                        layout.name,
+                        seeded,
+                    )
+                    proved += outcome.nontermination_proved
+    return proved
+
+
+@pytest.mark.parametrize("instances", [1, 4, 16])
+def test_pinned_layouts_match_naive_reference(idioms, instances):
+    assert _assert_layouts_match_naive(idioms, instances, PINNED_SPECS, iterations=3) > 0
+
+
+def _pinned(kind, slots=1):
+    [spec] = [s for s in PINNED_SPECS if (s.kind, s.slots) == (kind, slots)]
+    return spec
+
+
+LARGE_RUNS = [
+    *(
+        (name, _pinned(kind, slots))
+        for name in ("mutex", "prodcons-decreasing")
+        for kind, slots in (
+            (SchedulerKind.FAIR_ROUND_ROBIN, 1),
+            (SchedulerKind.LOBE_NONPREEMPTIVE, 1),
+            (SchedulerKind.LOBE_NONPREEMPTIVE, 2),
+            (SchedulerKind.OBE_NONPREEMPTIVE, 1),
+        )
+    ),
+    ("dining", _pinned(SchedulerKind.OBE_NONPREEMPTIVE, 2)),  # the loop closes after 621 steps
+]
+
+
+@pytest.mark.parametrize(
+    "name, spec", LARGE_RUNS, ids=[f"{n}-{s.kind.value}-{s.slots}" for n, s in LARGE_RUNS]
+)
+def test_large_chunked_layouts_match_naive_reference(idioms, name, spec):
+    layout = expand_layout(idioms[name], Variant.CHUNKED, 256)
+    seeded = replace(spec, seed=derive_seed(0, layout.name, spec, 0))
+    assert simulate(layout, seeded) == RunOutcome(*naive_simulate(layout, seeded))
