@@ -30,7 +30,13 @@ from .lts import (
 )
 from .models import Fairness, ProgressModel, all_model_variants, default_hierarchy, variant_token
 from .oracle import check_matrix, format_witness, verify_witness
-from .schedsim import DEFAULT_STEP_BUDGET, SchedulerKind, SchedulerSpec, campaign
+from .schedsim import (
+    DEFAULT_STEP_BUDGET,
+    RUN_COLUMNS,
+    SchedulerKind,
+    SchedulerSpec,
+    campaign,
+)
 from .suiteio import load_suite, load_test, save_suite
 from .synth import SynthConfig, synthesize
 
@@ -182,7 +188,7 @@ def _cmd_simulate(args, parser) -> int:
     )
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else [])
+            writer = csv.DictWriter(fh, fieldnames=RUN_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
     for s in summaries:

@@ -8,25 +8,44 @@ additionally detect an exact repeat of (machine state, scheduler
 state), which proves the run can never terminate; the outcome then
 reports `nontermination_proved` with the steps actually executed.
 
-Per step, the cost that grows with the thread count is the new machine
-state (`axb.step` copies the pc tuple, and the memory tuple on a write)
-and, for the deterministic kinds, hashing the full state for the repeat
-check.  The sorted alive list changes only when a thread exits, so
-picking a thread is O(log threads) for round-robin, O(slots) for the
-non-preemptive kinds and O(1) for the random ones.
+A step does constant work outside thread exits.  The pcs and the
+memory are lists that `step` updates in place.  For the deterministic
+kinds a 64-bit Zobrist key over the (thread, pc) and (location, value)
+pairs follows the state with at most four XORs per step (Zobrist,
+U. Wisconsin TR 88, 1970; Nguyen & Ruys, SPIN 2008).  The run keeps,
+per (key, scheduler state), the steps that reached it, plus the thread
+schedule; it stores no machine state.  A key hit is confirmed by
+replaying the schedule from the initial state with `axb.step` and
+comparing full states, so a key collision never proves a loop.  The
+sorted alive list changes only when a thread exits, so picking a thread
+is O(log threads) for round-robin, O(slots) for the non-preemptive
+kinds and O(1) for the random ones.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import random
+import time
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .axb import LitmusTest, MachineState, enabled_threads, step
+from . import axb
+from .axb import LitmusTest, MachineState, execute
 
 DEFAULT_STEP_BUDGET = 10**6
+
+# The columns of `campaign`'s per-run rows, in order.
+RUN_COLUMNS = (
+    "test", "scheduler", "slots", "iteration", "seed",
+    "terminated", "steps_used", "nontermination_proved",
+)
+
+_log = logging.getLogger(__name__)
 
 
 class SchedulerKind(str, Enum):
@@ -154,32 +173,114 @@ def _make_scheduler(spec: SchedulerSpec, live: list[bool]):
     return _HsaPriority(rng, spec.priority_prob)
 
 
-def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
-    """Run to termination, budget exhaustion, or a proven loop."""
-    machine = test.initial_state()
+def _zobrist_words(count: int) -> list[int]:
+    """`count` pseudo-random 64-bit words, the same in every process."""
+    return memoryview(hashlib.shake_128(b"schedsim").digest(8 * count)).cast("Q").tolist()
+
+
+def _zobrist_tables(test: LitmusTest) -> tuple[list[list[int]], list[list[int]]]:
+    """One word per (thread, pc), pcs up to the end, and per (location, value)."""
+    ends = [len(program) + 1 for program in test.threads]
+    vd = test.value_domain
+    words = _zobrist_words(sum(ends) + test.num_locations * vd)
+    by_pc = []
+    at = 0
+    for end in ends:
+        by_pc.append(words[at : at + end])
+        at += end
+    by_value = [words[at + loc * vd : at + (loc + 1) * vd] for loc in range(test.num_locations)]
+    return by_pc, by_value
+
+
+def step(test: LitmusTest, pcs: list[int], memory: list[int], tid: int) -> tuple[int, int, int]:
+    """Execute thread `tid`'s next instruction in place on `pcs` and `memory`.
+
+    `tid` must not have terminated.  Returns (old pc, location, value
+    read), which with the new pc and value is all the step changed.
+    """
+    pc = pcs[tid]
+    ins = test.threads[tid][pc]
+    loc = ins.loc
+    value = memory[loc]
+    pcs[tid], memory[loc] = execute(ins, pc, value)
+    return pc, loc, value
+
+
+def _reached(test: LitmusTest, schedule, earlier: list[int], target: MachineState) -> bool:
+    """Whether the run was in `target` after one of the ascending step counts `earlier`.
+
+    Replays `schedule` from the initial state with `axb.step`.
+    """
+    state = test.initial_state()
+    done = 0
+    for upto in earlier:
+        for tid in schedule[done:upto]:
+            state = axb.step(test, state, tid)
+        done = upto
+        if state == target:
+            return True
+    return False
+
+
+def simulate(test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = None) -> RunOutcome:
+    """Run to termination, budget exhaustion, or a proven loop.
+
+    Calls `step` once per simulated step.  For the deterministic kinds,
+    the state before each step is looked up by (Zobrist key, scheduler
+    state); a hit proves a loop only once a replay to the earlier step
+    shows the same full state.  `stats`, if given, counts the hits that
+    the replay rejects under ``"rejected_key_hits"``.
+    """
+    initial = test.initial_state()
+    pcs = list(initial.pcs)
+    memory = list(initial.memory)
+    ends = [len(program) for program in test.threads]
     counts = [0] * test.num_threads
     steps = 0
-    seen: set[tuple[MachineState, object]] = set()
     # Sorted; a thread leaves it only when its own step ends its program.
-    alive = list(enabled_threads(test, machine))
+    alive = list(axb.enabled_threads(test, initial))
     live = [False] * test.num_threads
     for tid in alive:
         live[tid] = True
     sched = _make_scheduler(spec, live)
+    keyed = sched.deterministic
+    if keyed:
+        by_pc, by_value = _zobrist_tables(test)
+        key = 0  # the key of a state, relative to the initial state's
+        schedule = array("I")  # thread ids, one per step taken
+        first: dict[tuple[int, object], int] = {}  # earliest step per lookup key
+        later: dict[tuple[int, object], list[int]] = {}  # further steps, after a collision
     while steps < spec.step_budget:
         if not alive:
             return RunOutcome(True, steps, tuple(counts))
-        if sched.deterministic:
-            # One hash per step: a repeat leaves the set's size unchanged.
-            size = len(seen)
-            seen.add((machine, sched.state_key()))
-            if len(seen) == size:
-                return RunOutcome(False, steps, tuple(counts), True)
+        if keyed:
+            at = (key, sched.state_key())
+            seen_at = first.setdefault(at, steps)
+            if seen_at != steps:
+                earlier = [seen_at, *later.get(at, ())]
+                target = MachineState(tuple(memory), tuple(pcs))
+                if _reached(test, schedule, earlier, target):
+                    return RunOutcome(False, steps, tuple(counts), True)
+                later.setdefault(at, []).append(steps)
+                if stats is not None:
+                    stats["rejected_key_hits"] += 1
+                if _log.isEnabledFor(logging.DEBUG):
+                    _log.debug(
+                        "%s: key hit at step %d rejected by replay of %d earlier steps",
+                        test.name, steps, len(earlier),
+                    )
         tid = sched.pick(alive)
-        machine = step(test, machine, tid)
+        old_pc, loc, value = step(test, pcs, memory, tid)
         counts[tid] += 1
         steps += 1
-        if machine.pcs[tid] == len(test.threads[tid]):
+        if keyed:
+            schedule.append(tid)
+            pc_words = by_pc[tid]
+            value_words = by_value[loc]
+            key ^= (
+                pc_words[old_pc] ^ pc_words[pcs[tid]] ^ value_words[value] ^ value_words[memory[loc]]
+            )
+        if pcs[tid] == ends[tid]:
             alive.remove(tid)
             live[tid] = False
     return RunOutcome(not alive, steps, tuple(counts))
@@ -207,6 +308,9 @@ def campaign(
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    logged = _log.isEnabledFor(logging.INFO)
+    stats = Counter() if logged else None
+    started = time.perf_counter()
     rows = []
     summaries = []
     for test in tests:
@@ -216,19 +320,19 @@ def campaign(
                 seeded = replace(
                     spec, seed=derive_seed(base_seed, test.name, spec, it)
                 )
-                outcome = simulate(test, seeded)
+                outcome = simulate(test, seeded, stats=stats)
                 outcomes.append(outcome)
                 rows.append(
-                    {
-                        "test": test.name,
-                        "scheduler": spec.kind.value,
-                        "slots": spec.slots,
-                        "iteration": it,
-                        "seed": seeded.seed,
-                        "terminated": outcome.terminated,
-                        "steps_used": outcome.steps_used,
-                        "nontermination_proved": outcome.nontermination_proved,
-                    }
+                    dict(
+                        zip(
+                            RUN_COLUMNS,
+                            (
+                                test.name, spec.kind.value, spec.slots, it, seeded.seed,
+                                outcome.terminated, outcome.steps_used,
+                                outcome.nontermination_proved,
+                            ),
+                        )
+                    )
                 )
             hangs = sum(1 for o in outcomes if not o.terminated)
             summaries.append(
@@ -245,4 +349,16 @@ def campaign(
                     "deterministic": hangs in (0, iterations),
                 }
             )
+    if logged:
+        proved = sum(row["nontermination_proved"] for row in rows)
+        _log.info(
+            "simulated %d runs: %d steps, %d proved loops, %d out of budget, "
+            "%d key hits rejected by replay, %.2f s",
+            len(rows),
+            sum(row["steps_used"] for row in rows),
+            proved,
+            sum(not row["terminated"] for row in rows) - proved,
+            stats["rejected_key_hits"],
+            time.perf_counter() - started,
+        )
     return rows, summaries

@@ -357,6 +357,32 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert all(r["terminated"] == "True" for r in rows)
 
 
+def test_simulate_writes_the_header_for_an_empty_suite(tmp_path, capsys):
+    suite = tmp_path / "empty"
+    suite.mkdir()
+    target = tmp_path / "runs.csv"
+    rc = main(["simulate", "--suite", str(suite), "--scheduler", "fair-round-robin",
+               "--out", str(target)])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == (
+        b"test,scheduler,slots,iteration,seed,terminated,steps_used,nontermination_proved\r\n"
+    )
+
+
+def test_simulate_logs_its_campaign_at_info(caplog, package_log_level):
+    argv = ["--log-level", "info", "simulate", "--suite", str(IDIOM_DIR),
+            "--scheduler", "lobe-nonpreemptive", "--iterations", "2", "--budget", "5000"]
+    assert main(argv) == 0
+    [record] = [r for r in caplog.records if r.name == "progress_lab.schedsim"]
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(
+        r"simulated 12 runs: 32 steps, 4 proved loops, 0 out of budget, "
+        r"0 key hits rejected by replay, \d+\.\d\d s",
+        record.getMessage(),
+    )
+
+
 def test_simulate_nonplain_needs_instances():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--suite", str(IDIOM_DIR),

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import logging
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -305,3 +308,39 @@ def test_large_chunked_layouts_match_naive_reference(idioms, name, spec):
     layout = expand_layout(idioms[name], Variant.CHUNKED, 256)
     seeded = replace(spec, seed=derive_seed(0, layout.name, spec, 0))
     assert simulate(layout, seeded) == RunOutcome(*naive_simulate(layout, seeded))
+
+
+DETERMINISTIC_KINDS = (
+    SchedulerKind.FAIR_ROUND_ROBIN,
+    SchedulerKind.OBE_NONPREEMPTIVE,
+    SchedulerKind.LOBE_NONPREEMPTIVE,
+)
+
+
+def _one_key_for_every_state(count):
+    return [0] * count
+
+
+@settings(max_examples=100, deadline=None)
+@given(litmus_tests(), st.integers(0, 2**32 - 1))
+def test_key_collisions_are_rejected_by_replay(test, seed):
+    # Every state gets key 0, so each step after the first is a key hit
+    # that only the replay can tell from a repeat.
+    with mock.patch.object(schedsim, "_zobrist_words", _one_key_for_every_state):
+        for kind in DETERMINISTIC_KINDS:
+            for slots in (1, 2, 3):
+                spec = SchedulerSpec(kind, slots=slots, seed=seed, step_budget=200)
+                assert simulate(test, spec) == RunOutcome(*naive_simulate(test, spec)), spec
+
+
+def test_key_collisions_keep_layout_outcomes(idioms, monkeypatch, caplog):
+    monkeypatch.setattr(schedsim, "_zobrist_words", _one_key_for_every_state)
+    specs = [spec for spec in PINNED_SPECS if spec.kind in DETERMINISTIC_KINDS]
+    assert _assert_layouts_match_naive(idioms, 4, specs, iterations=1) > 0
+    caplog.set_level(logging.DEBUG, logger="progress_lab.schedsim")
+    stats = Counter()
+    layout = expand_layout(idioms["mutex"], Variant.CHUNKED, 4)
+    assert simulate(layout, specs[0], stats=stats).terminated
+    rejected = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(rejected) == stats["rejected_key_hits"] > 0
+    assert all(" rejected by replay of " in message for message in rejected)
