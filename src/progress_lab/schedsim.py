@@ -222,7 +222,9 @@ def _reached(test: LitmusTest, schedule, earlier: list[int], target: MachineStat
     return False
 
 
-def simulate(test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = None) -> RunOutcome:
+def simulate(
+    test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = None
+) -> RunOutcome:
     """Run to termination, budget exhaustion, or a proven loop.
 
     Calls `step` once per simulated step.  For the deterministic kinds,
@@ -266,7 +268,7 @@ def simulate(test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = N
                     stats["rejected_key_hits"] += 1
                 if _log.isEnabledFor(logging.DEBUG):
                     _log.debug(
-                        "%s: key hit at step %d rejected by replay of %d earlier steps",
+                        "%s: key hit at step %d rejected by replay (%d earlier steps under it)",
                         test.name, steps, len(earlier),
                     )
         tid = sched.pick(alive)
@@ -277,9 +279,8 @@ def simulate(test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = N
             schedule.append(tid)
             pc_words = by_pc[tid]
             value_words = by_value[loc]
-            key ^= (
-                pc_words[old_pc] ^ pc_words[pcs[tid]] ^ value_words[value] ^ value_words[memory[loc]]
-            )
+            key ^= pc_words[old_pc] ^ pc_words[pcs[tid]]
+            key ^= value_words[value] ^ value_words[memory[loc]]
         if pcs[tid] == ends[tid]:
             alive.remove(tid)
             live[tid] = False

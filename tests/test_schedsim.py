@@ -5,8 +5,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import replace
-from unittest import mock
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -343,4 +343,4 @@ def test_key_collisions_keep_layout_outcomes(idioms, monkeypatch, caplog):
     assert simulate(layout, specs[0], stats=stats).terminated
     rejected = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(rejected) == stats["rejected_key_hits"] > 0
-    assert all(" rejected by replay of " in message for message in rejected)
+    assert all(" rejected by replay " in message for message in rejected)
