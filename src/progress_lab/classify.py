@@ -12,26 +12,26 @@ variants (weak HSA and weak OBE, say) and to nothing below both has no
 least model and falls into no distinguishing set; the capped (2,3)
 suite has 22 such weak tests.
 
-The oracle runs once per location orbit: tests equal up to a renaming
-of memory locations.  Renaming maps a test's plain and monitored LTS
-onto isomorphic ones, state for state.  Memory starts all zero, so
-every renaming fixes the initial state, and fair sets depend only on
-which threads stepped or terminated, never on memory.  Locations are
-thus a scalarset in the sense of Ip & Dill ("Better verification
-through symmetry", FMSD 1996), and every test of an orbit gets the same
-verdict in every column.  Synthesis without symmetry reduction keeps
-both location twins, so on its suites this halves the oracle runs.
+Rows are shared at two levels.  The first is the location orbit: tests
+equal up to a renaming of memory locations.  Renaming maps a test's
+plain and monitored LTS onto isomorphic ones, state for state.  Memory
+starts all zero, so every renaming fixes the initial state, and fair
+sets depend only on which threads stepped or terminated, never on
+memory.  Locations are thus a scalarset in the sense of Ip & Dill
+("Better verification through symmetry", FMSD 1996), and every test of
+an orbit gets the same verdict in every column.  Synthesis without
+symmetry reduction keeps both location twins, so on its suites the
+orbit key halves the plain explorations, and it costs less than one.
 
-A second, coarser key shares rows between orbits.  `check_matrix` reads
-a test only through its plain LTS: the verdicts are a function of the
-thread count, the plain LTS's successor lists and each plain state's
-terminated-thread mask (see `oracle`), since the monitored LTS, the
-fair sets and every check read nothing else.  Two tests that agree on
-these three get the same row, whatever their instructions and memory.
-So each new orbit's plain LTS is built once, and `check_matrix` runs,
-on that LTS, only for a state space not seen before: Ip & Dill's one
-member per class of equivalent state spaces.  The 2,313 location
-orbits of the capped (3,4) suite have 867 distinct plain LTSs.
+The second is the state space.  `check_matrix` reads a test only
+through its plain LTS, and its verdicts are a function of the thread
+count and the plain successor lists alone (see `oracle`).  Two tests
+that agree on these two get the same row, whatever their instructions
+and memory.  So each new orbit's plain LTS is built once, and
+`check_matrix` runs, on that LTS, only for a state space not seen
+before: Ip & Dill's one member per class of equivalent state spaces.
+The 2,313 location orbits of the capped (3,4) suite have 867 distinct
+plain LTSs.
 """
 
 from __future__ import annotations
@@ -203,14 +203,9 @@ def classify_suite(
 
 
 def _space_key(plain: Lts) -> tuple:
-    """What every verdict of `plain`'s test depends on: the thread count,
-    the successor lists and each state's terminated-thread mask."""
-    test = plain.test
-    ends = [len(program) for program in test.threads]
-    terminated = tuple(
-        sum(1 << t for t, end in enumerate(ends) if m.pcs[t] >= end) for m in plain.states
-    )
-    return test.num_threads, tuple(map(tuple, plain.out)), terminated
+    """What every verdict of `plain`'s test depends on: the thread count
+    and the successor lists."""
+    return plain.test.num_threads, tuple(map(tuple, plain.out))
 
 
 def matrix_csv(report: SuiteReport) -> str:

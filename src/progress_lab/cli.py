@@ -193,10 +193,12 @@ def _cmd_simulate(args, parser) -> int:
             writer.writerows(rows)
     for s in summaries:
         flag = "deterministic" if s["deterministic"] else "mixed"
+        # `budget_exhausted` counts every run that did not terminate.
+        proved = s["proved_nonterminating"]
         print(
             f"{s['test']} {s['scheduler']} slots={s['slots']}: "
-            f"{s['terminated']}/{s['runs']} terminated, "
-            f"{s['budget_exhausted']} exhausted ({flag})"
+            f"{s['terminated']}/{s['runs']} terminated, {proved} proved non-terminating, "
+            f"{s['budget_exhausted'] - proved} out of budget ({flag})"
         )
     return 0
 

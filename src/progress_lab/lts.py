@@ -11,8 +11,9 @@ only in their successor function.  The plain LTS explores machine states
 only; it is the one exploration that runs `axb.step`.  The monitored LTS
 is its product with the stepped-set monitor: each plain state paired
 with the set of threads that have stepped, plus the threads that have
-terminated there.  Thread sets are int bitmasks, bit t standing for
-thread t, as in `models`.
+terminated there: those with no out-edge, since every instruction can
+execute.  Thread sets are int bitmasks, bit t standing for thread t, as
+in `models`.
 Both kinds hold machine states in `Lts.states`; a monitored LTS also
 holds each state's `(stepped, terminated)` mask pair in `Lts.facts`,
 which is None for a plain one.  The monitored LTS does not depend on any
@@ -198,20 +199,17 @@ def build_monitored_lts(plain: Lts, max_states: int = DEFAULT_MAX_STATES) -> Lts
     (p, stepped) to (dst, stepped | 1 << t).  The stepped mask is part of
     the state because the fair set must be a function of the state, and
     two histories reaching one machine state with different stepped sets
-    carry different guarantees under some model.  A thread has
-    terminated once its pc is past its program, a function of the plain
-    state alone.  Each product state reuses its plain state's
-    `MachineState` and records its `(stepped, terminated)` masks in the
-    parallel `facts` list.  Successors follow the plain LTS's order
+    carry different guarantees under some model.  Every AXB instruction
+    can execute, so the threads that have terminated in a plain state are
+    those with no out-edge from it.  Each product state reuses its plain
+    state's `MachineState` and records its `(stepped, terminated)` masks
+    in the parallel `facts` list.  Successors follow the plain LTS's order
     (ascending thread id), so numbering is deterministic.  A pair over a
     plain end state has no successors, which makes it an end state.
     """
     test = plain.test
-    n = test.num_threads
-    lengths = [len(p) for p in test.threads]
-    terminated = [
-        sum(1 << t for t in range(n) if m.pcs[t] >= lengths[t]) for m in plain.states
-    ]
+    everyone = (1 << test.num_threads) - 1
+    terminated = [everyone - sum(1 << tid for _, tid in edges) for edges in plain.out]
 
     def successors(pair: tuple[int, int]):
         p, stepped = pair

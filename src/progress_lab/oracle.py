@@ -7,9 +7,11 @@ states serve every model.  The weak and strong checks read a model's
 fair sets off the monitored LTS, whose `facts` list holds the stepped
 and terminated thread masks of each state.  Every pass walks the LTS's
 per-state `(dst, tid)` successor lists; a witness is a breadth-first
-path of `(src, dst, tid)` steps, turned into `WitnessStep`s only at the
-end.  Thread sets stay int bitmasks throughout (bit t for thread t);
-only witnesses turn them into frozensets.
+path of `(src, dst, tid)` steps whose thread ids are replayed with
+`axb.step` from the initial state only at the end, which gives each
+step's pc and instruction and where the path ends.  Thread sets stay
+int bitmasks throughout (bit t for thread t); only witnesses turn them
+into frozensets.
 
 The weak check asks whether a scheduler obeying the model's guarantees
 can still run forever: it fails exactly when some reachable nontrivial
@@ -34,11 +36,11 @@ all, only an acyclic state space terminates.  It is decided on the
 plain LTS, which is also the input of the monitored LTS (its product
 with the stepped-set monitor), so each check explores the test's
 machine once.  A caller that has built the plain LTS already hands it
-to `check_matrix`.  Every verdict is thus a function of three things
-only: the thread count, the plain LTS's successor lists and each plain
-state's terminated-thread mask.  The monitored LTS is built from them,
-the fair sets read the monitored facts and the thread count, and every
-check walks the successor lists.
+to `check_matrix`.  Every verdict is thus a function of the thread
+count and the plain LTS's successor lists alone.  The monitored LTS is
+built from them (a plain state's terminated threads are those with no
+out-edge), the fair sets read the monitored facts and the thread count,
+and every check walks the successor lists.
 
 A fail verdict builds its witness on demand: `check_matrix` hands it a
 builder, and the first read of `Verdict.witness` runs the breadth-first
@@ -144,15 +146,19 @@ class Verdict:
         return "pass" if self.passed else "fail"
 
 
-def _witness_steps(
-    lts: Lts, steps: list[tuple[int, int, int]], fair: list[int]
-) -> tuple[WitnessStep, ...]:
+def _replay(
+    test: LitmusTest, steps: list[tuple[int, int, int]], fair: list[int]
+) -> tuple[tuple[WitnessStep, ...], MachineState]:
+    """Run the threads of `steps`, `(src, dst, tid)` edges from the initial
+    state, with `axb.step`; return their `WitnessStep`s and the state
+    they end in."""
+    state = test.initial_state()
     out = []
     for src, _, tid in steps:
-        pc = lts.states[src].pcs[tid]
-        instr = lts.test.threads[tid][pc]
-        out.append(WitnessStep(tid, pc, instr, frozenset(thread_ids(fair[src]))))
-    return tuple(out)
+        pc = state.pcs[tid]
+        out.append(WitnessStep(tid, pc, test.threads[tid][pc], frozenset(thread_ids(fair[src]))))
+        state = step(test, state, tid)
+    return tuple(out), state
 
 
 def _bfs(
@@ -211,9 +217,8 @@ def _cycle_witness(lts: Lts, scc: Scc, fair: list[int]) -> Witness:
         cur = cycle[0][1]
     if cur != entry:
         cycle += _bfs(lts, cur, lambda dst, _: dst == entry, members)
-    return Witness(
-        WitnessKind.CYCLE, _witness_steps(lts, path, fair), _witness_steps(lts, cycle, fair)
-    )
+    steps, _ = _replay(lts.test, path + cycle, fair)
+    return Witness(WitnessKind.CYCLE, steps[: len(path)], steps[len(path) :])
 
 
 def _stuck_witness(lts: Lts, stuck: int, fair: list[int]) -> Witness:
@@ -221,13 +226,8 @@ def _stuck_witness(lts: Lts, stuck: int, fair: list[int]) -> Witness:
     path = []
     if stuck != lts.initial:
         path = _bfs(lts, lts.initial, lambda dst, _: dst == stuck)
-    return Witness(
-        WitnessKind.STUCK,
-        _witness_steps(lts, path, fair),
-        (),
-        lts.states[stuck],
-        frozenset(thread_ids(fair[stuck])),
-    )
+    steps, machine = _replay(lts.test, path, fair)
+    return Witness(WitnessKind.STUCK, steps, (), machine, frozenset(thread_ids(fair[stuck])))
 
 
 def _weak(lts: Lts, sccs: list[Scc], fair: list[int]) -> Verdict:
@@ -277,7 +277,7 @@ def check_matrix(
     verdicts = {UNFAIR_VARIANT: _weak(plain, scc_decompose(plain), [0] * len(plain))}
     lts = build_monitored_lts(plain, max_states)
     sccs = scc_decompose(lts)
-    into: list[list[tuple[int, int]]] = [[] for _ in lts.states]
+    into: list[list[tuple[int, int]]] = [[] for _ in lts.out]
     for src, edges in enumerate(lts.out):
         for dst, tid in edges:
             into[dst].append((src, tid))

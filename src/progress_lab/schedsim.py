@@ -158,12 +158,13 @@ class _HsaPriority:
 
 
 def _make_scheduler(spec: SchedulerSpec, live: list[bool]):
-    rng = random.Random(spec.seed)
     num_threads = len(live)
     if spec.kind is SchedulerKind.FAIR_ROUND_ROBIN:
         return _RoundRobin(num_threads)
     if spec.kind is SchedulerKind.LOBE_NONPREEMPTIVE:
         return _Nonpreemptive(list(range(num_threads)), spec.slots, live)
+    # Only the remaining kinds draw, so only they seed a generator.
+    rng = random.Random(spec.seed)
     if spec.kind is SchedulerKind.OBE_NONPREEMPTIVE:
         order = list(range(num_threads))
         rng.shuffle(order)

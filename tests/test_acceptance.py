@@ -242,7 +242,7 @@ def test_check_6_weak_fraction_and_published_arithmetic(all_bounds_report):
     assert len(c["weak-lobe"]) == len(d["weak-lobe"]) + len(c["weak-hsa"] | c["weak-obe"])
     print(
         f"check 6: {flag}PASS (weak fraction {fraction:.3f} on {len(report.names)} "
-        "tests vs 0.65 +/- 0.10 reference; our bounds mix skews large; "
+        "tests vs 0.65 +/- 0.10 reference; the suite size caps skew it high; "
         "split arithmetic holds)"
     )
 

@@ -383,6 +383,32 @@ def test_simulate_logs_its_campaign_at_info(caplog, package_log_level):
     )
 
 
+def test_simulate_reports_proved_loops_apart_from_the_budget(capsys):
+    rc = main(["simulate", "--suite", str(IDIOM_DIR), "--scheduler", "lobe-nonpreemptive",
+               "--iterations", "2", "--budget", "5000"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    assert lines[0] == (
+        "bidirectional lobe-nonpreemptive slots=1: "
+        "0/2 terminated, 2 proved non-terminating, 0 out of budget (deterministic)"
+    )
+    assert lines[1] == (
+        "dining lobe-nonpreemptive slots=1: "
+        "2/2 terminated, 0 proved non-terminating, 0 out of budget (deterministic)"
+    )
+
+
+def test_simulate_counts_unproved_hangs_as_out_of_budget(capsys):
+    rc = main(["simulate", "--suite", str(IDIOM_DIR), "--scheduler", "hsa-priority",
+               "--priority-prob", "1", "--iterations", "1", "--budget", "50"])
+    assert rc == 0
+    assert (
+        "prodcons-decreasing hsa-priority slots=1: "
+        "0/1 terminated, 0 proved non-terminating, 1 out of budget (deterministic)\n"
+    ) in capsys.readouterr().out
+
+
 def test_simulate_nonplain_needs_instances():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--suite", str(IDIOM_DIR),

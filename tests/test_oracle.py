@@ -76,13 +76,13 @@ def test_fail_verdict_requires_witness():
 
 def _count_witness_builds(monkeypatch):
     calls = []
-    original = oracle._witness_steps
+    original = oracle._replay
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(oracle, "_witness_steps", counting)
+    monkeypatch.setattr(oracle, "_replay", counting)
     return calls
 
 
@@ -128,6 +128,37 @@ def test_verdict_with_a_builder_behaves_as_one_with_its_witness(idioms):
 
 
 MODEL_OF = {variant_token(v): v[0] for v in all_model_variants()}
+
+
+class _Unreadable(list):
+    """A state list whose length is all that may be read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("read a monitored MachineState")
+
+    def __iter__(self):
+        raise AssertionError("iterated monitored MachineStates")
+
+
+def test_oracle_reads_no_monitored_machine_state(idioms, suites, monkeypatch):
+    from conftest import capped_tests
+
+    build = oracle.build_monitored_lts
+
+    def sealed(*args):
+        lts = build(*args)
+        lts.states = _Unreadable(lts.states)
+        return lts
+
+    monkeypatch.setattr(oracle, "build_monitored_lts", sealed)
+    tests = list(idioms.values()) + capped_tests(suites(2, 3), (2, 3))
+    fails = 0
+    for test in tests:
+        for tok, verdict in check_matrix(test).items():
+            if not verdict.passed:
+                verify_witness(test, MODEL_OF[tok], verdict.witness)
+                fails += 1
+    assert len(tests) == 934 and fails == 5517
 
 
 def test_every_idiom_failure_verifies(idioms):

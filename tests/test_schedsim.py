@@ -68,6 +68,16 @@ def test_round_robin_is_reproducible(idioms):
     assert simulate(idioms["mutex"], other) == simulate(idioms["mutex"], spec)
 
 
+def test_deterministic_kinds_seed_no_generator(idioms, monkeypatch):
+    def no_rng(*args):
+        raise AssertionError("seeded a random.Random")
+
+    monkeypatch.setattr(schedsim.random, "Random", no_rng)
+    for kind in (SchedulerKind.FAIR_ROUND_ROBIN, SchedulerKind.LOBE_NONPREEMPTIVE):
+        for test in idioms.values():
+            simulate(test, SchedulerSpec(kind=kind, step_budget=1_000))
+
+
 def test_lobe_single_slot_splits_producer_consumer(idioms):
     spec = SchedulerSpec(kind=SchedulerKind.LOBE_NONPREEMPTIVE, slots=1)
     # Producer first in id order: runs alone, hands off, consumer drains.
