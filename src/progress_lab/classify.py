@@ -233,26 +233,10 @@ def partitions_json_dict(report: SuiteReport) -> dict:
     }
 
 
-def summary_text(report: SuiteReport) -> str:
-    lines = [summary_from_partitions(partitions_json_dict(report)).rstrip("\n")]
-    if report.unclassified:
-        lines.append("")
-        lines.append(
-            f"tests failing even strong full fairness: {len(report.unclassified)}"
-        )
-    if report.anomalies:
-        lines.append("")
-        lines.append("hierarchy anomalies:")
-        lines.extend(f"  {a}" for a in report.anomalies)
-    if report.errors:
-        lines.append("")
-        lines.append("errors:")
-        lines.extend(f"  {n}: {msg}" for n, msg in sorted(report.errors.items()))
-    return "\n".join(lines) + "\n"
-
-
 def summary_from_partitions(data: dict) -> str:
-    """Re-render the grid from a saved partitions document."""
+    """The summary `classify` prints and writes as `summary.txt`, rendered
+    from a partitions document alone: the counts and the grid, then the
+    unclassified count, the hierarchy anomalies and the errors."""
     weak = data.get("weak_tests", [])
     strong = data.get("strong_tests", [])
     unclassified = data.get("unclassified", [])
@@ -275,6 +259,12 @@ def summary_from_partitions(data: dict) -> str:
         )
         label = "full" if model == "fair" else model
         lines.append(f"{label:<10}{wd:>8}{wc:>8}{sd:>10}{sc:>10}")
+    if unclassified:
+        lines += ["", f"tests failing even strong full fairness: {len(unclassified)}"]
+    if data.get("anomalies"):
+        lines += ["", "hierarchy anomalies:", *(f"  {a}" for a in data["anomalies"])]
+    if data.get("errors"):
+        lines += ["", "errors:", *(f"  {n}: {m}" for n, m in sorted(data["errors"].items()))]
     return "\n".join(lines) + "\n"
 
 
@@ -288,9 +278,11 @@ def load_partitions(path: str | Path) -> dict:
     ok = isinstance(doc, dict) and (
         all(
             isinstance(doc.get(k, []), list)
-            for k in ("weak_tests", "strong_tests", "unclassified", "hierarchy")
+            for k in ("weak_tests", "strong_tests", "unclassified", "hierarchy", "anomalies")
         )
-        and all(isinstance(t, str) for t in doc.get("hierarchy", []))
+        and all(isinstance(t, str) for k in ("hierarchy", "anomalies") for t in doc.get(k, []))
+        and isinstance(doc.get("errors", {}), dict)
+        and all(isinstance(m, str) for m in doc.get("errors", {}).values())
         and isinstance(doc.get("weak_fraction", 0.0), (int, float))
         and all(
             isinstance(sets, dict) and all(isinstance(v, list) for v in sets.values())
@@ -300,8 +292,9 @@ def load_partitions(path: str | Path) -> dict:
     if not ok:
         raise ValueError(
             f"{path}: expected an object with lists 'weak_tests', 'strong_tests', "
-            "'unclassified' and 'hierarchy' (of strings), a number 'weak_fraction', "
-            "and objects of lists 'conformance' and 'distinguishing'"
+            "'unclassified', 'hierarchy' and 'anomalies' (the last two of strings), "
+            "a number 'weak_fraction', objects of lists 'conformance' and "
+            "'distinguishing', and an object of strings 'errors'"
         )
     return doc
 
@@ -314,9 +307,8 @@ def write_report(report: SuiteReport, out_dir: str | Path) -> dict[str, Path]:
         "partitions": out / "partitions.json",
         "summary": out / "summary.txt",
     }
+    partitions = partitions_json_dict(report)
     paths["matrix"].write_text(matrix_csv(report), encoding="utf-8")
-    paths["partitions"].write_text(
-        json.dumps(partitions_json_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
-    paths["summary"].write_text(summary_text(report), encoding="utf-8")
+    paths["partitions"].write_text(json.dumps(partitions, indent=2) + "\n", encoding="utf-8")
+    paths["summary"].write_text(summary_from_partitions(partitions), encoding="utf-8")
     return paths

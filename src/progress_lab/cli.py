@@ -14,14 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .classify import (
-    classify_suite,
-    load_partitions,
-    summary_from_partitions,
-    summary_text,
-    write_report,
-)
-from .emit import Backend, EmitConfig, Variant, emit_suite, expand_layout, resolve_instances
+from .classify import classify_suite, load_partitions, summary_from_partitions, write_report
+from .emit import Backend, EmitConfig, Variant, emit_suite, expand_layout
 from .lts import (
     DEFAULT_MAX_STATES,
     ExplorationLimitError,
@@ -130,8 +124,7 @@ def _cmd_classify(args) -> int:
     tests = load_suite(args.suite)
     hierarchy = default_hierarchy(include_hsa_obe=args.hsa_obe_in_hierarchy)
     report = classify_suite(tests, hierarchy, max_states=args.max_states)
-    write_report(report, args.out)
-    print(summary_text(report), end="")
+    print(write_report(report, args.out)["summary"].read_text(encoding="utf-8"), end="")
     return 0
 
 
@@ -171,12 +164,7 @@ def _cmd_simulate(args, parser) -> int:
     variant = _layout(args, parser)
     if variant is not Variant.PLAIN and args.instances is None:
         parser.error("--instances is required for non-plain layouts")
-    tests = load_suite(args.suite)
-    if variant is not Variant.PLAIN:
-        tests = [
-            expand_layout(t, variant, resolve_instances(variant, t.num_threads, args.instances))
-            for t in tests
-        ]
+    tests = [expand_layout(t, variant, args.instances) for t in load_suite(args.suite)]
     spec = SchedulerSpec(
         kind=SchedulerKind(args.scheduler),
         slots=args.slots,

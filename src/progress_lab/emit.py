@@ -151,23 +151,30 @@ def resolve_instances(
 def map_workgroup(
     variant: Variant, w: int, num_threads: int, instances: int
 ) -> tuple[int, int]:
-    """Workgroup id -> (instance, test-thread id); bijective, order-keeping."""
+    """Workgroup id -> (instance, test-thread id); bijective, order-keeping.
+
+    The plain layout has exactly one instance; any other count raises
+    `resolve_instances`' ValueError."""
     if not 0 <= w < num_threads * instances:
         raise ValueError(f"workgroup {w} out of range for {num_threads}x{instances}")
     if variant is Variant.PLAIN:
+        resolve_instances(variant, num_threads, instances)
         return 0, w
     if variant is Variant.ROUND_ROBIN:
         return w // num_threads, w % num_threads
     return w % instances, w // instances
 
 
-def expand_layout(test: LitmusTest, variant: Variant, instances: int) -> LitmusTest:
+def expand_layout(test: LitmusTest, variant: Variant, instances: int | None) -> LitmusTest:
     """The multi-instance test as one big litmus test.
 
-    Thread order follows workgroup ids; instance m owns memory cells
-    [m*L, (m+1)*L).
+    `instances` is resolved by `resolve_instances`, so None means the
+    most that fit and a count the layout does not allow raises
+    ValueError.  The plain layout returns `test` itself.  Thread order
+    follows workgroup ids; instance m owns memory cells [m*L, (m+1)*L).
     """
-    if variant is Variant.PLAIN and instances == 1:
+    instances = resolve_instances(variant, test.num_threads, instances)
+    if variant is Variant.PLAIN:
         return test
     n = test.num_threads
     threads = []

@@ -79,7 +79,10 @@ _DECODED_MAX = 4096
 def _decode_instruction(
     words: list[str], lineno: int, raw: str, num_locations: int, value_domain: int
 ) -> AxbInstruction:
-    """The instruction of one `IDX: axb ...` line, range-checked."""
+    """The instruction of one `IDX: axb ...` line, range-checked.
+
+    The caller passes only six-word lines, so four field words with no
+    unknown and no duplicate key name all four fields."""
     fields: dict[str, tuple[int, str]] = {}  # key -> (word index, value)
     for i, word in enumerate(words[2:], start=2):
         key, eq, value = word.partition("=")
@@ -88,9 +91,6 @@ def _decode_instruction(
         if key in fields:
             raise LitmusParseError(f"duplicate field {key!r}", lineno, _column(raw, i))
         fields[key] = (i, value)
-    for key in _FIELD_ORDER:
-        if key not in fields:
-            raise LitmusParseError(f"missing field {key!r}", lineno)
 
     def number(key: str) -> int:
         i, value = fields[key]

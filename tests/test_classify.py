@@ -11,10 +11,10 @@ from progress_lab import classify
 from progress_lab.axb import AxbInstruction, LitmusTest, relabel_locations
 from progress_lab.classify import (
     classify_suite,
+    load_partitions,
     matrix_csv,
     partitions_json_dict,
     summary_from_partitions,
-    summary_text,
     write_report,
 )
 from progress_lab.models import default_hierarchy
@@ -121,7 +121,7 @@ def test_partitions_roundtrip_and_summary(report):
     data = partitions_json_dict(report)
     again = json.loads(json.dumps(data))
     assert summary_from_partitions(again) == summary_from_partitions(data)
-    text = summary_text(report)
+    text = summary_from_partitions(data)
     assert "weak tests: 5" in text
     assert "strong tests: 1" in text
     assert "weak D" in text and "full" in text
@@ -133,7 +133,9 @@ def test_summary_mentions_problems():
     spin = LitmusTest("spin", 1, 1, ((I(0, 0, 0),), (I(0, 0, 0),)))
     rep = classify_suite([spin])
     assert rep.unclassified == ("spin",)
-    assert "failing even strong full fairness: 1" in summary_text(rep)
+    assert "failing even strong full fairness: 1" in summary_from_partitions(
+        partitions_json_dict(rep)
+    )
 
 
 def test_error_capture():
@@ -141,7 +143,7 @@ def test_error_capture():
     rep = classify_suite([big], max_states=1)
     assert "big" in rep.errors
     assert rep.matrix == {} or "big" not in rep.matrix
-    assert "errors" in summary_text(rep)
+    assert "errors" in summary_from_partitions(partitions_json_dict(rep))
 
 
 def test_write_report_files(report, tmp_path):
@@ -151,6 +153,21 @@ def test_write_report_files(report, tmp_path):
     data = json.loads(paths["partitions"].read_text())
     assert data["weak_tests"] == sorted(report.weak_tests)
     assert (tmp_path / "out" / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"anomalies": [1]}, "anomalies"),
+        ({"errors": []}, "errors"),
+        ({"errors": {"a": 1}}, "errors"),
+    ],
+)
+def test_load_partitions_checks_anomalies_and_errors(tmp_path, doc, key):
+    path = tmp_path / "partitions.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected .*'{key}'"):
+        load_partitions(path)
 
 
 def test_duplicate_names_are_rejected(idioms):

@@ -14,7 +14,9 @@ import pytest
 
 import progress_lab
 from progress_lab import cli, oracle
+from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.cli import main
+from progress_lab.suiteio import save_suite
 
 IDIOM_DIR = Path(__file__).parent.parent / "docs" / "idioms"
 MUTEX = str(IDIOM_DIR / "mutex.litmus")
@@ -191,13 +193,18 @@ def test_classify_then_report(suite22, tmp_path, capsys):
     assert "tests classified: 20" in capsys.readouterr().out
 
 
+def _package_env() -> dict:
+    """The environment for a fresh process that imports this package."""
+    paths = [str(Path(progress_lab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_classify_logs_its_summary_at_info(suite22, tmp_path, capsys):
     # A fresh process, since the test runner's own logging handlers keep
     # `--log-level` from installing one here.
     assert main(["classify", "--suite", str(suite22), "--out", str(tmp_path / "quiet")]) == 0
     quiet = capsys.readouterr().out
-    paths = [str(Path(progress_lab.__file__).parent.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = _package_env()
     script = "import sys; from progress_lab.cli import main; sys.exit(main(sys.argv[1:]))"
     argv = ["--log-level", "info", "classify", "--suite", str(suite22), "--out", str(tmp_path / "info")]
     proc = subprocess.run(
@@ -247,6 +254,48 @@ def test_classify_rejects_duplicate_names(tmp_path, capsys):
 def test_report_without_data(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "no data\n"
+
+
+def test_module_form_runs_the_command_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "progress_lab", "report", str(tmp_path)],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no data\n", "")
+
+
+IDIOM_ERRORS = (
+    "errors:\n"
+    "  bidirectional: ExplorationLimitError: monitored LTS of 'bidirectional' exceeds 6 states\n"
+    "  dining: ExplorationLimitError: plain LTS of 'dining' exceeds 6 states\n"
+    "  mutex: ExplorationLimitError: plain LTS of 'mutex' exceeds 6 states\n"
+    "  simplified-mutex: ExplorationLimitError: "
+    "monitored LTS of 'simplified-mutex' exceeds 6 states\n"
+)
+
+
+@pytest.mark.parametrize(
+    "suite, bounds, ending",
+    [
+        ("idioms", ["--max-states", "6"], "\n\n" + IDIOM_ERRORS),
+        ("spin", [], "\n\ntests failing even strong full fairness: 1\n"),
+    ],
+    ids=["idioms", "spin"],
+)
+def test_report_prints_what_classify_printed(tmp_path, capsys, suite, bounds, ending):
+    suite_dir = IDIOM_DIR
+    if suite == "spin":
+        # Cannot finish under any model, so it is left unclassified.
+        spin = LitmusTest("spin", 1, 1, ((AxbInstruction(0, 0, 0),), (AxbInstruction(0, 0, 0),)))
+        suite_dir = tmp_path / "spin"
+        save_suite([spin], suite_dir)
+    out = tmp_path / "rep"
+    assert main(["classify", "--suite", str(suite_dir), "--out", str(out), *bounds]) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith(ending)
+    assert printed == (out / "summary.txt").read_text(encoding="utf-8")
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out == printed
 
 
 @pytest.mark.parametrize(

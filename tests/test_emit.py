@@ -44,9 +44,11 @@ def test_glsl_mutex_matches_golden(idioms, backend):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2), (4, 7), (5, 5)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 7), (5, 5)])
 def test_map_workgroup_bijective_and_ordered(variant, n, m):
     if variant is Variant.PLAIN and m != 1:
+        with pytest.raises(ValueError, match="^the plain layout runs exactly one instance$"):
+            map_workgroup(variant, n * m - 1, n, m)
         return
     pairs = [map_workgroup(variant, w, n, m) for w in range(n * m)]
     assert sorted(pairs) == [(inst, i) for inst in range(m) for i in range(n)]
@@ -105,6 +107,33 @@ def test_expand_layout_structure(idioms, variant):
             AxbInstruction(ins.loc + offset, ins.cmp, ins.jump, ins.exch)
             for ins in test.threads[i]
         )
+
+
+@pytest.mark.parametrize(
+    "name, variant, instances, message",
+    [
+        ("mutex", Variant.PLAIN, 2, "the plain layout runs exactly one instance"),
+        ("mutex", Variant.CHUNKED, 0, "instance count must be positive"),
+        ("mutex", Variant.CHUNKED, 40_000, "40000 instances of 2 threads exceed 65535 workgroups"),
+        ("dining", Variant.ROUND_ROBIN, -1, "instance count must be positive"),
+    ],
+)
+def test_expand_layout_refuses_what_resolve_instances_refuses(
+    idioms, name, variant, instances, message
+):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        expand_layout(idioms[name], variant, instances)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolve_instances(variant, idioms[name].num_threads, instances)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_expand_layout_defaults_to_the_most_that_fit(idioms, variant):
+    test = idioms["dining"]
+    big = expand_layout(test, variant, None)
+    m = resolve_instances(variant, test.num_threads)
+    assert big.num_threads == test.num_threads * m
+    assert (big is test) == (variant is Variant.PLAIN)
 
 
 def test_expand_layout_single_instance_is_isomorphic(idioms):

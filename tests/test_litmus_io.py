@@ -140,6 +140,28 @@ def test_error_column_is_that_of_the_named_word(old, new, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SAMPLE.replace("exch=1", "foo=1"), "line 6, column 29: unknown field 'foo=1'"),
+        (SAMPLE.replace("cmp=1", "loc=1"), "line 6, column 16: duplicate field 'loc'"),
+        (SAMPLE.replace("thread 0:", "thread 0"), "line 5, column 1: expected 'thread N:'"),
+        ("test x", "line 1, column 1: incomplete test: missing header lines"),
+        ("test x\nlocations 1\nvalues 2\n", "line 1, column 1: test declares no threads"),
+    ],
+)
+def test_malformed_structure_messages(text, message):
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(text)
+    assert str(err.value) == message
+
+
+def test_blank_and_comment_lines_inside_a_thread_block_are_ignored():
+    noisy = SAMPLE.replace("  1: axb loc=1", "\n  # note\n  1: axb loc=1")
+    assert noisy.count("\n") == SAMPLE.count("\n") + 2
+    assert parse_litmus(noisy) == parse_litmus(SAMPLE)
+
+
 def test_overlong_number_is_a_parse_error():
     with pytest.raises(LitmusParseError, match="line 4, column 8: expected a number for values"):
         parse_litmus(SAMPLE.replace("values 2", "values " + "1" * 5000))

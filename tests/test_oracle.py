@@ -11,7 +11,7 @@ import naive
 from conftest import IDIOM_PASSES
 from progress_lab import classify, oracle
 from progress_lab.axb import AxbInstruction, LitmusTest, MachineState, relabel_locations
-from progress_lab.lts import ExplorationLimitError
+from progress_lab.lts import ExplorationLimitError, build_monitored_lts, build_plain_lts
 from progress_lab.models import (
     UNFAIR_VARIANT,
     Fairness,
@@ -299,6 +299,16 @@ def test_format_witness_rendering(idioms):
     assert "# stuck state:" in text and "mem=" in text
 
 
+def test_check_matrix_needs_the_tests_own_plain_lts(idioms):
+    mutex = idioms["mutex"]
+    for plain in (
+        build_plain_lts(idioms["dining"]),
+        build_monitored_lts(build_plain_lts(mutex)),
+    ):
+        with pytest.raises(ValueError, match="^check_matrix of 'mutex' needs that test's"):
+            check_matrix(mutex, plain=plain)
+
+
 def test_max_states_limit_propagates(idioms):
     with pytest.raises(ExplorationLimitError):
         check_matrix(idioms["mutex"], max_states=2)
@@ -486,7 +496,6 @@ def test_one_fair_set_per_monitored_state_and_model(idioms, monkeypatch):
     # `progress_lab.lts.fair_set`, so `Lts.fair_sets` must look it up
     # there once per state; an inlined rule would read 0 there.
     from progress_lab import lts
-    from progress_lab.lts import build_monitored_lts, build_plain_lts
 
     calls = 0
     original = lts.fair_set

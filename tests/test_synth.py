@@ -46,6 +46,12 @@ def test_config_validation():
         SynthConfig(num_threads=2, total_instructions=2, jobs=0)
 
 
+@pytest.mark.parametrize("bound", ["max_states", "max_actions"])
+def test_pruning_bounds_must_be_positive(bound):
+    with pytest.raises(ValueError, match="^pruning bounds must be positive$"):
+        SynthConfig(2, 2, **{bound: 0})
+
+
 @pytest.fixture(scope="module")
 def small(suites):
     return suites(2, 2)
