@@ -153,10 +153,19 @@ def _cmd_emit(args, parser) -> int:
         workgroup_size=args.workgroup_size,
     )
     manifest = emit_suite(tests, [config], args.out)
+    failed = len(manifest["errors"])
     print(
         f"emitted {len(manifest['entries'])} artifacts to {args.out}"
-        + (f" ({len(manifest['errors'])} errors)" if manifest["errors"] else "")
+        + (f" ({failed} errors)" if failed else "")
     )
+    if failed:
+        total = failed + len(manifest["entries"])
+        print(
+            f"error [emit]: {failed} of {total} artifacts failed; "
+            f"see {Path(args.out) / 'manifest.json'}",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

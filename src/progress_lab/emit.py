@@ -11,7 +11,12 @@ preserved.  The JSON harness equals `json.dumps(doc, indent=2)` of its
 document plus a final newline by construction: each test thread's
 workgroup entry is dumped once as a template, and every workgroup fills
 its thread's template with its ids and locations, without building the
-multi-instance test.
+multi-instance test.  One `"".join` over the header, the workgroup texts
+and their separators assembles the document, so no other string of its
+size is built.  `load_harness` decodes it with an object hook that turns
+each instruction object into its `AxbInstruction` and each workgroup
+object into its program tuple as the decoder reads them, so no dict per
+instruction or workgroup outlives its own object.
 """
 
 from __future__ import annotations
@@ -286,12 +291,16 @@ def _harness_source(test: LitmusTest, config: EmitConfig, instances: int) -> str
         text = json.dumps(group, indent=2).replace('"%d"', "%d")
         templates.append("    " + text.replace("\n", "\n    "))
     locs = [tuple(ins.loc for ins in program) for program in test.threads]
-    groups = []
+    # Each workgroup text follows its separator; one join builds the
+    # document with no other string of its size alive.
+    parts = [head, "["]
     for w in range(n * instances):
         m, i = map_workgroup(config.variant, w, n, instances)
         offset = m * test.num_locations
-        groups.append(templates[i] % (w, m, i, *(loc + offset for loc in locs[i])))
-    return head + "[\n" + ",\n".join(groups) + "\n  ]\n}\n"
+        parts.append(",\n" if w else "\n")
+        parts.append(templates[i] % (w, m, i, *(loc + offset for loc in locs[i])))
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _int(doc: dict, key: str) -> int:
@@ -302,31 +311,50 @@ def _int(doc: dict, key: str) -> int:
     return value
 
 
-def load_harness(source: str) -> LitmusTest:
-    """Rebuild the runnable litmus test from a harness artifact."""
-    doc = json.loads(source)
-    try:
-        if doc.get("kind") != "axb-harness":
-            raise ValueError("not a harness artifact")
-        threads = tuple(
-            tuple(
-                AxbInstruction(
-                    _int(p, "loc"),
-                    _int(p, "cmp"),
-                    _int(p, "jump"),
-                    None if p["exch"] is None else _int(p, "exch"),
-                )
-                for p in group["program"]
-            )
-            for group in doc["workgroups"]
+def _harness_object(obj: dict):
+    """`json.loads` object hook: an instruction object becomes its
+    `AxbInstruction` and a workgroup object its program tuple, so no
+    per-instruction or per-workgroup dict outlives its own object."""
+    if "program" in obj:
+        program = obj["program"]
+        if type(program) is not list or any(type(ins) is not AxbInstruction for ins in program):
+            raise TypeError("program must be a list of instruction objects")
+        return tuple(program)
+    if "loc" in obj:
+        exch = obj["exch"]
+        return AxbInstruction(
+            _int(obj, "loc"),
+            _int(obj, "cmp"),
+            _int(obj, "jump"),
+            None if exch is None else _int(obj, "exch"),
         )
+    return obj
+
+
+def load_harness(source: str) -> LitmusTest:
+    """Rebuild the runnable litmus test from a harness artifact.
+
+    Raises ValueError("malformed harness artifact: <Type>: <message>")
+    for any input that is not such an artifact."""
+    try:
+        doc = json.loads(source, object_hook=_harness_object)
+        if doc.get("kind") != "axb-harness":
+            raise ValueError(f'kind must be "axb-harness", got {json.dumps(doc.get("kind"))}')
+        threads = doc["workgroups"]
+        if type(threads) is not list or any(type(program) is not tuple for program in threads):
+            raise TypeError("workgroups must be a list of workgroup objects")
+        expected = _int(doc, "instances") * _int(doc, "threads_per_instance")
+        if len(threads) != expected:
+            raise ValueError(
+                f"{len(threads)} workgroups, but instances x threads_per_instance is {expected}"
+            )
         return LitmusTest(
             name=doc["name"],
             num_locations=_int(doc, "memory_cells"),
             value_domain=_int(doc, "value_domain"),
-            threads=threads,
+            threads=tuple(threads),
         )
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed harness artifact: {type(exc).__name__}: {exc}") from exc
 
 

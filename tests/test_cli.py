@@ -391,6 +391,30 @@ def test_emit_chunked_defaults_to_auto_instances(tmp_path, capsys):
     assert capsys.readouterr().out == f"emitted 6 artifacts to {out}\n"
 
 
+def test_emit_exits_2_when_an_artifact_fails(tmp_path, capsys):
+    # 30,000 instances fit two threads (60,000 workgroups), not three.
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    trio = Path(MUTEX).read_text().replace("test mutex", "test trio")
+    trio += "thread 2:\n  0: axb loc=0 cmp=1 jump=0 exch=1\n"
+    (suite / "trio.litmus").write_text(trio)
+    (suite / "mutex.litmus").write_text(Path(MUTEX).read_text())
+    out = tmp_path / "kernels"
+    rc = main(["emit", "--suite", str(suite), "--backend", "cuda", "--variant", "chunked",
+               "--instances", "30000", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"emitted 1 artifacts to {out} (1 errors)\n"
+    assert captured.err == (
+        f"error [emit]: 1 of 2 artifacts failed; see {out / 'manifest.json'}\n"
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["file"] for e in manifest["entries"]] == ["mutex.chunked.cu"]
+    assert [e["test"] for e in manifest["errors"]] == ["trio"]
+    assert (out / "mutex.chunked.cu").is_file()
+    assert not (out / "trio.chunked.cu").exists()
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     target = tmp_path / "runs.csv"
     rc = main(["simulate", "--suite", str(IDIOM_DIR),

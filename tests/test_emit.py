@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -269,6 +271,93 @@ def test_load_harness_rejects_numbers_that_are_not_integers(idioms):
     for key, doc in (("loc", loc), ("jump", jump), ("memory_cells", cells)):
         with pytest.raises(ValueError, match=f"^malformed harness artifact: TypeError: {key} must"):
             load_harness(json.dumps(doc))
+
+
+def _drop_program(doc):
+    del doc["workgroups"][0]["program"]
+
+
+def _numeric_program(doc):
+    doc["workgroups"][0]["program"] = 7
+
+
+def _program_of_numbers(doc):
+    doc["workgroups"][1]["program"] = [7]
+
+
+def _drop_exch(doc):
+    del doc["workgroups"][0]["program"][1]["exch"]
+
+
+def _workgroups_as_object(doc):
+    doc["workgroups"] = dict(enumerate(doc["workgroups"]))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_drop_program, "TypeError: workgroups must be a list of workgroup objects"),
+        (_numeric_program, "TypeError: program must be a list of instruction objects"),
+        (_program_of_numbers, "TypeError: program must be a list of instruction objects"),
+        (_drop_exch, "KeyError: 'exch'"),
+        (_workgroups_as_object, "TypeError: workgroups must be a list of workgroup objects"),
+    ],
+)
+def test_load_harness_rejects_malformed_structure(idioms, mutate, message):
+    doc = json.loads(emit_kernel(idioms["mutex"], EmitConfig(Backend.HARNESS)).source)
+    mutate(doc)
+    with pytest.raises(ValueError) as exc:
+        load_harness(json.dumps(doc))
+    assert str(exc.value) == f"malformed harness artifact: {message}"
+
+
+def test_load_harness_checks_the_workgroup_count(idioms):
+    # Without the check, dropping a workgroup loads as a five-thread test.
+    source = emit_kernel(idioms["mutex"], EmitConfig(Backend.HARNESS, Variant.CHUNKED, 3)).source
+    dropped, instances, per_instance = (json.loads(source) for _ in range(3))
+    del dropped["workgroups"][-1]
+    instances["instances"] = 3.0
+    per_instance["threads_per_instance"] = True
+    for doc, message in (
+        (dropped, "ValueError: 5 workgroups, but instances x threads_per_instance is 6"),
+        (instances, "TypeError: instances must be an integer, got 3.0"),
+        (per_instance, "TypeError: threads_per_instance must be an integer, got true"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            load_harness(json.dumps(doc))
+        assert str(exc.value) == f"malformed harness artifact: {message}"
+
+
+def test_load_harness_reads_json_not_the_emitters_layout(idioms):
+    """Compact and key-sorted re-serializations of every idiom's harness
+    load as the same test."""
+    for test in idioms.values():
+        for variant, m in ((Variant.PLAIN, None), (Variant.CHUNKED, 3), (Variant.ROUND_ROBIN, 2)):
+            doc = json.loads(emit_kernel(test, EmitConfig(Backend.HARNESS, variant, m)).source)
+            expected = replace(expand_layout(test, variant, m), name=test.name)
+            assert load_harness(json.dumps(doc)) == expected
+            assert load_harness(json.dumps(doc, sort_keys=True)) == expected
+
+
+def test_harness_round_trip_holds_no_whole_document_copies(idioms):
+    """On 8,192 workgroups (2.6 MB), emission peaks at most 2.5 times the
+    source length, and loading at most 1.2 times it above the source it
+    reads.  Joining the document twice, or a dict per decoded object,
+    breaks these bounds."""
+    mutex = idioms["mutex"]
+    tracemalloc.start()
+    try:
+        source = emit_kernel(mutex, EmitConfig(Backend.HARNESS, Variant.CHUNKED, 4096)).source
+        _, emit_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        loaded = load_harness(source)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emit_peak <= 2.5 * len(source)
+    assert load_peak - held <= 1.2 * len(source)
+    assert loaded.threads == expand_layout(mutex, Variant.CHUNKED, 4096).threads
 
 
 def test_timeouts_and_extensions():
