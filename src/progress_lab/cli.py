@@ -216,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="worker processes for synth; the other commands, "
+                             "classify, emit and simulate included, ignore it")
     parser.add_argument("--seed", type=int, default=None,
                         help="falls back to PROGRESS_LAB_SEED, then 0")
     sub = parser.add_subparsers(dest="command", required=True)

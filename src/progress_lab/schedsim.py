@@ -10,16 +10,16 @@ reports `nontermination_proved` with the steps actually executed.
 
 A step does constant work outside thread exits.  The pcs and the
 memory are lists that `step` updates in place.  For the deterministic
-kinds a 64-bit Zobrist key over the (thread, pc) and (location, value)
-pairs follows the state with at most four XORs per step (Zobrist,
-U. Wisconsin TR 88, 1970; Nguyen & Ruys, SPIN 2008).  The run keeps,
-per (key, scheduler state), the steps that reached it, plus the thread
-schedule; it stores no machine state.  A key hit is confirmed by
-replaying the schedule from the initial state with `axb.step` and
-comparing full states, so a key collision never proves a loop.  The
-sorted alive list changes only when a thread exits, so picking a thread
-is O(log threads) for round-robin, O(slots) for the non-preemptive
-kinds and O(1) for the random ones.
+kinds the machine state is numbered exactly, in mixed radix: each
+thread's pc is a digit of radix `len(program) + 1` and each location's
+value a digit of radix `value_domain`, so the all-zero initial state
+is number 0 and a step moves the number by one multiply-add per
+changed digit.  Distinct states never share a number, so a repeated
+(number, scheduler state) proves a loop without a replay (exact rather
+than hashed state storage: Holzmann, "An analysis of bitstate hashing",
+FMSD 1998).  The sorted alive list changes only when a thread exits,
+so picking a thread is O(log threads) for round-robin, O(slots) for
+the non-preemptive kinds and O(1) for the random ones.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ import hashlib
 import logging
 import random
 import time
-from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import axb
-from .axb import LitmusTest, MachineState, execute
+from .axb import LitmusTest, execute
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -174,23 +172,18 @@ def _make_scheduler(spec: SchedulerSpec, live: list[bool]):
     return _HsaPriority(rng, spec.priority_prob)
 
 
-def _zobrist_words(count: int) -> list[int]:
-    """`count` pseudo-random 64-bit words, the same in every process."""
-    return memoryview(hashlib.shake_128(b"schedsim").digest(8 * count)).cast("Q").tolist()
-
-
-def _zobrist_tables(test: LitmusTest) -> tuple[list[list[int]], list[list[int]]]:
-    """One word per (thread, pc), pcs up to the end, and per (location, value)."""
-    ends = [len(program) + 1 for program in test.threads]
-    vd = test.value_domain
-    words = _zobrist_words(sum(ends) + test.num_locations * vd)
-    by_pc = []
-    at = 0
-    for end in ends:
-        by_pc.append(words[at : at + end])
-        at += end
-    by_value = [words[at + loc * vd : at + (loc + 1) * vd] for loc in range(test.num_locations)]
-    return by_pc, by_value
+def _place_values(test: LitmusTest) -> tuple[list[int], list[int]]:
+    """The weight of each thread's pc and of each location's value in a state number."""
+    pc_weight = []
+    weight = 1
+    for program in test.threads:
+        pc_weight.append(weight)
+        weight *= len(program) + 1
+    value_weight = []
+    for _ in range(test.num_locations):
+        value_weight.append(weight)
+        weight *= test.value_domain
+    return pc_weight, value_weight
 
 
 def step(test: LitmusTest, pcs: list[int], memory: list[int], tid: int) -> tuple[int, int, int]:
@@ -207,32 +200,12 @@ def step(test: LitmusTest, pcs: list[int], memory: list[int], tid: int) -> tuple
     return pc, loc, value
 
 
-def _reached(test: LitmusTest, schedule, earlier: list[int], target: MachineState) -> bool:
-    """Whether the run was in `target` after one of the ascending step counts `earlier`.
-
-    Replays `schedule` from the initial state with `axb.step`.
-    """
-    state = test.initial_state()
-    done = 0
-    for upto in earlier:
-        for tid in schedule[done:upto]:
-            state = axb.step(test, state, tid)
-        done = upto
-        if state == target:
-            return True
-    return False
-
-
-def simulate(
-    test: LitmusTest, spec: SchedulerSpec, *, stats: Counter | None = None
-) -> RunOutcome:
+def simulate(test: LitmusTest, spec: SchedulerSpec) -> RunOutcome:
     """Run to termination, budget exhaustion, or a proven loop.
 
     Calls `step` once per simulated step.  For the deterministic kinds,
-    the state before each step is looked up by (Zobrist key, scheduler
-    state); a hit proves a loop only once a replay to the earlier step
-    shows the same full state.  `stats`, if given, counts the hits that
-    the replay rejects under ``"rejected_key_hits"``.
+    the run keeps a set of (state number, scheduler state) pairs, one
+    per state before a pick; reaching a pair again proves a loop.
     """
     initial = test.initial_state()
     pcs = list(initial.pcs)
@@ -246,42 +219,26 @@ def simulate(
     for tid in alive:
         live[tid] = True
     sched = _make_scheduler(spec, live)
-    keyed = sched.deterministic
-    if keyed:
-        by_pc, by_value = _zobrist_tables(test)
-        key = 0  # the key of a state, relative to the initial state's
-        schedule = array("I")  # thread ids, one per step taken
-        first: dict[tuple[int, object], int] = {}  # earliest step per lookup key
-        later: dict[tuple[int, object], list[int]] = {}  # further steps, after a collision
+    numbered = sched.deterministic
+    if numbered:
+        pc_weight, value_weight = _place_values(test)
+        number = 0  # the initial state's
+        seen: set[tuple[int, object]] = set()
     while steps < spec.step_budget:
         if not alive:
             return RunOutcome(True, steps, tuple(counts))
-        if keyed:
-            at = (key, sched.state_key())
-            seen_at = first.setdefault(at, steps)
-            if seen_at != steps:
-                earlier = [seen_at, *later.get(at, ())]
-                target = MachineState(tuple(memory), tuple(pcs))
-                if _reached(test, schedule, earlier, target):
-                    return RunOutcome(False, steps, tuple(counts), True)
-                later.setdefault(at, []).append(steps)
-                if stats is not None:
-                    stats["rejected_key_hits"] += 1
-                if _log.isEnabledFor(logging.DEBUG):
-                    _log.debug(
-                        "%s: key hit at step %d rejected by replay (%d earlier steps under it)",
-                        test.name, steps, len(earlier),
-                    )
+        if numbered:
+            at = (number, sched.state_key())
+            if at in seen:
+                return RunOutcome(False, steps, tuple(counts), True)
+            seen.add(at)
         tid = sched.pick(alive)
         old_pc, loc, value = step(test, pcs, memory, tid)
         counts[tid] += 1
         steps += 1
-        if keyed:
-            schedule.append(tid)
-            pc_words = by_pc[tid]
-            value_words = by_value[loc]
-            key ^= pc_words[old_pc] ^ pc_words[pcs[tid]]
-            key ^= value_words[value] ^ value_words[memory[loc]]
+        if numbered:
+            number += (pcs[tid] - old_pc) * pc_weight[tid]
+            number += (memory[loc] - value) * value_weight[loc]
         if pcs[tid] == ends[tid]:
             alive.remove(tid)
             live[tid] = False
@@ -311,7 +268,6 @@ def campaign(
     if iterations < 1:
         raise ValueError("iterations must be positive")
     logged = _log.isEnabledFor(logging.INFO)
-    stats = Counter() if logged else None
     started = time.perf_counter()
     rows = []
     summaries = []
@@ -322,7 +278,7 @@ def campaign(
                 seeded = replace(
                     spec, seed=derive_seed(base_seed, test.name, spec, it)
                 )
-                outcome = simulate(test, seeded, stats=stats)
+                outcome = simulate(test, seeded)
                 outcomes.append(outcome)
                 rows.append(
                     dict(
@@ -354,13 +310,11 @@ def campaign(
     if logged:
         proved = sum(row["nontermination_proved"] for row in rows)
         _log.info(
-            "simulated %d runs: %d steps, %d proved loops, %d out of budget, "
-            "%d key hits rejected by replay, %.2f s",
+            "simulated %d runs: %d steps, %d proved loops, %d out of budget, %.2f s",
             len(rows),
             sum(row["steps_used"] for row in rows),
             proved,
             sum(not row["terminated"] for row in rows) - proved,
-            stats["rejected_key_hits"],
             time.perf_counter() - started,
         )
     return rows, summaries

@@ -1,6 +1,7 @@
 """No public name without a library caller: each one is used in `src/` or
-exported; every name the benchmark's tracer wraps still exists; and the
-naive reference oracles import nothing from the package."""
+exported; no module imports a name it does not use or export; every name
+the benchmark's tracer wraps still exists; and the naive reference
+oracles import nothing from the package."""
 
 import ast
 import importlib.util
@@ -38,6 +39,35 @@ def test_every_public_name_is_used_in_src_or_exported():
         for name in _public_top_level_names(tree)
         if name not in loaded and name not in progress_lab.__all__
     )
+    assert unused == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_used_or_exported():
+    imports = 0
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        loaded |= _exported(tree)
+        imports += len(imported)
+        unused += [f"{path.stem}.{name}" for name in imported if name not in loaded]
+    assert imports
     assert unused == []
 
 

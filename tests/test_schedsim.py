@@ -2,20 +2,19 @@
 
 import hashlib
 import json
-import logging
-from collections import Counter
 from dataclasses import replace
+from operator import mul
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naive import naive_simulate
+from naive import explore_plain, naive_simulate
 from progress_lab import schedsim
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.emit import Variant, expand_layout
+from progress_lab.litmus_io import parse_litmus
 from progress_lab.schedsim import (
     DEFAULT_STEP_BUDGET,
     RunOutcome,
@@ -28,6 +27,7 @@ from progress_lab.schedsim import (
 from strategies import litmus_tests
 
 GOLDEN = Path(__file__).parent / "golden"
+IDIOM_DIR = Path(__file__).parent.parent / "docs" / "idioms"
 
 SPIN = LitmusTest(
     name="spin",
@@ -320,37 +320,28 @@ def test_large_chunked_layouts_match_naive_reference(idioms, name, spec):
     assert simulate(layout, seeded) == RunOutcome(*naive_simulate(layout, seeded))
 
 
-DETERMINISTIC_KINDS = (
-    SchedulerKind.FAIR_ROUND_ROBIN,
-    SchedulerKind.OBE_NONPREEMPTIVE,
-    SchedulerKind.LOBE_NONPREEMPTIVE,
-)
-
-
-def _one_key_for_every_state(count):
-    return [0] * count
+IDIOM_LAYOUTS = [
+    expand_layout(parse_litmus(path.read_text(encoding="utf-8")), variant, 4)
+    for path in sorted(IDIOM_DIR.glob("*.litmus"))
+    for variant in (Variant.CHUNKED, Variant.ROUND_ROBIN)
+]
 
 
 @settings(max_examples=100, deadline=None)
-@given(litmus_tests(), st.integers(0, 2**32 - 1))
-def test_key_collisions_are_rejected_by_replay(test, seed):
-    # Every state gets key 0, so each step after the first is a key hit
-    # that only the replay can tell from a repeat.
-    with mock.patch.object(schedsim, "_zobrist_words", _one_key_for_every_state):
-        for kind in DETERMINISTIC_KINDS:
-            for slots in (1, 2, 3):
-                spec = SchedulerSpec(kind, slots=slots, seed=seed, step_budget=200)
-                assert simulate(test, spec) == RunOutcome(*naive_simulate(test, spec)), spec
+@given(litmus_tests())
+def test_state_numbers_are_exact(test):
+    # A loop is proved by a repeated state number alone, so the
+    # numbering must be injective on every reachable (memory, pcs).
+    pc_weight, value_weight = schedsim._place_values(test)
+
+    def number(memory, pcs):
+        return sum(map(mul, pcs, pc_weight)) + sum(map(mul, memory, value_weight))
+
+    initial = test.initial_state()
+    assert number(initial.memory, initial.pcs) == 0
+    states, _, _ = explore_plain(test)
+    assert len({number(memory, pcs) for memory, pcs in states}) == len(states)
 
 
-def test_key_collisions_keep_layout_outcomes(idioms, monkeypatch, caplog):
-    monkeypatch.setattr(schedsim, "_zobrist_words", _one_key_for_every_state)
-    specs = [spec for spec in PINNED_SPECS if spec.kind in DETERMINISTIC_KINDS]
-    assert _assert_layouts_match_naive(idioms, 4, specs, iterations=1) > 0
-    caplog.set_level(logging.DEBUG, logger="progress_lab.schedsim")
-    stats = Counter()
-    layout = expand_layout(idioms["mutex"], Variant.CHUNKED, 4)
-    assert simulate(layout, specs[0], stats=stats).terminated
-    rejected = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert len(rejected) == stats["rejected_key_hits"] > 0
-    assert all(" rejected by replay " in message for message in rejected)
+for _layout in IDIOM_LAYOUTS:
+    test_state_numbers_are_exact = example(_layout)(test_state_numbers_are_exact)
