@@ -150,7 +150,6 @@ def _cmd_emit(args, parser) -> int:
         backend=Backend(args.backend),
         variant=variant,
         instances=instances,
-        workgroup_size=args.workgroup_size,
     )
     manifest = emit_suite(tests, [config], args.out)
     failed = len(manifest["errors"])
@@ -263,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="plain", choices=[v.value for v in Variant])
     p.add_argument("--instances", default=None,
                    help="positive integer or 'auto' (the default) for non-plain layouts")
-    p.add_argument("--workgroup-size", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="run a suite under software schedulers")
@@ -311,7 +309,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ExplorationLimitError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,11 +7,15 @@ access hits the same coherence point.  The three C-like backends share
 one template and differ only in their `BACKENDS` dialect.  Multi-instance
 layouts replicate the test across disjoint memory regions and remap
 workgroup ids so the relative thread order inside every instance is
-preserved.  The JSON harness equals `json.dumps(doc, indent=2)` of its
-document plus a final newline by construction: each test thread's
-workgroup entry is dumped once as a template, and every workgroup fills
-its thread's template with its ids and locations, without building the
-multi-instance test.  One `"".join` over the header, the workgroup texts
+preserved.  Every kernel runs one invocation per workgroup, and each
+workgroup runs one test thread: the kernels have no per-invocation
+guard, so a larger workgroup would run racing copies of its thread.
+The manifest's `workgroup_size` is therefore the constant 1, the size
+runners launch each kernel with.  The JSON harness equals
+`json.dumps(doc, indent=2)` of its document plus a final newline by
+construction: each test thread's workgroup entry is dumped once as a
+template, and every workgroup fills its thread's template with its ids
+and locations, without building the multi-instance test.  One `"".join` over the header, the workgroup texts
 and their separators assembles the document, so no other string of its
 size is built.  `load_harness` decodes it with an object hook that turns
 each instruction object into its `AxbInstruction` and each workgroup
@@ -49,7 +53,7 @@ class Variant(str, Enum):
 class _Dialect:
     """How one C-like language spells the kernel around the shared pc loops."""
 
-    header: tuple[str, ...]  # templates over workgroup_size; ends with `w` bound
+    header: tuple[str, ...]  # ends with `w` bound
     uint: str
     exchange: str  # template over loc and val
     load: str  # template over loc
@@ -71,12 +75,12 @@ BACKENDS: dict[Backend, BackendSpec] = {
         _Dialect(
             (
                 "#version 450",
-                "layout(local_size_x = {workgroup_size}) in;",
-                "layout(set = 0, binding = 0) buffer Mem {{",
+                "layout(local_size_x = 1) in;",
+                "layout(set = 0, binding = 0) buffer Mem {",
                 "  uint mem[];",
-                "}};",
+                "};",
                 "",
-                "void main() {{",
+                "void main() {",
                 "  uint w = gl_WorkGroupID.x;",
             ),
             "uint",
@@ -90,7 +94,7 @@ BACKENDS: dict[Backend, BackendSpec] = {
         20,
         _Dialect(
             (
-                'extern "C" __global__ void progress_test(unsigned int* mem) {{',
+                'extern "C" __global__ void progress_test(unsigned int* mem) {',
                 "  unsigned int w = blockIdx.x;",
             ),
             "unsigned int",
@@ -108,7 +112,7 @@ BACKENDS: dict[Backend, BackendSpec] = {
                 "using namespace metal;",
                 "",
                 "kernel void progress_test(device atomic_uint* mem [[buffer(0)]],",
-                "                          uint w [[threadgroup_position_in_grid]]) {{",
+                "                          uint w [[threadgroup_position_in_grid]]) {",
             ),
             "uint",
             "atomic_exchange_explicit(&mem[base + {loc}u], {val}u, memory_order_relaxed)",
@@ -124,11 +128,8 @@ class EmitConfig:
     backend: Backend
     variant: Variant = Variant.PLAIN
     instances: int | None = None  # None = auto
-    workgroup_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.workgroup_size < 1:
-            raise ValueError("workgroup size must be positive")
         if self.instances is not None and self.instances < 1:
             raise ValueError("instance count must be positive")
 
@@ -204,12 +205,8 @@ def expand_layout(test: LitmusTest, variant: Variant, instances: int | None) -> 
 class KernelArtifact:
     source: str
     entry_point: str
-    backend: Backend
-    variant: Variant
-    num_threads: int
     instances: int
     workgroups: int
-    workgroup_size: int
     cells_per_instance: int
 
     @property
@@ -253,7 +250,7 @@ def _c_like_source(
     test: LitmusTest, config: EmitConfig, instances: int, dialect: _Dialect
 ) -> str:
     uint = dialect.uint
-    lines = [line.format(workgroup_size=config.workgroup_size) for line in dialect.header]
+    lines = list(dialect.header)
     lines += ["  " + s for s in _mapping_lines(config.variant, test.num_threads, instances, uint)]
     lines.append(f"  {uint} base = m * {test.num_locations}u;")
     for tid, program in enumerate(test.threads):
@@ -368,12 +365,8 @@ def emit_kernel(test: LitmusTest, config: EmitConfig) -> KernelArtifact:
     return KernelArtifact(
         source=source,
         entry_point=spec.entry_point,
-        backend=config.backend,
-        variant=config.variant,
-        num_threads=test.num_threads,
         instances=instances,
         workgroups=test.num_threads * instances,
-        workgroup_size=config.workgroup_size,
         cells_per_instance=test.num_locations,
     )
 
@@ -404,14 +397,14 @@ def emit_suite(tests, configs, out_dir: str | Path) -> dict:
     Raises ValueError, before writing anything, if two (test, config)
     pairs would share a file.
     """
-    tests = list(tests)
-    # An Amber companion is named after its GLSL kernel, so the kernels'
-    # names decide every clash.
-    fnames = Counter(
-        f"{test.name}.{config.variant.value}.{BACKENDS[config.backend].extension}"
+    jobs = [
+        (test, config, f"{test.name}.{config.variant.value}.{BACKENDS[config.backend].extension}")
         for test in tests
         for config in configs
-    )
+    ]
+    # An Amber companion is named after its GLSL kernel, so the kernels'
+    # names decide every clash.
+    fnames = Counter(fname for _, _, fname in jobs)
     clashes = sorted(f for f, count in fnames.items() if count > 1)
     if clashes:
         raise ValueError(f"artifacts share file names: {', '.join(clashes)}")
@@ -419,40 +412,38 @@ def emit_suite(tests, configs, out_dir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     errors = []
-    for test in tests:
-        for config in configs:
-            try:
-                artifact = emit_kernel(test, config)
-                spec = BACKENDS[config.backend]
-                fname = f"{test.name}.{config.variant.value}.{spec.extension}"
-                (out / fname).write_text(artifact.source, encoding="utf-8")
-                entry = {
+    for test, config, fname in jobs:
+        try:
+            artifact = emit_kernel(test, config)
+            spec = BACKENDS[config.backend]
+            (out / fname).write_text(artifact.source, encoding="utf-8")
+            entry = {
+                "test": test.name,
+                "backend": config.backend.value,
+                "variant": config.variant.value,
+                "file": fname,
+                "entry_point": artifact.entry_point,
+                "instances": artifact.instances,
+                "workgroups": artifact.workgroups,
+                "workgroup_size": 1,
+                "buffer_cells": artifact.buffer_cells,
+                "cells_per_instance": artifact.cells_per_instance,
+                "timeout_seconds": spec.timeout_seconds,
+            }
+            if config.backend is Backend.GLSL:
+                amber_name = f"{test.name}.{config.variant.value}.amber"
+                (out / amber_name).write_text(_amber_script(artifact), encoding="utf-8")
+                entry["companion"] = amber_name
+            entries.append(entry)
+        except Exception as exc:  # noqa: BLE001 - partial failures recorded
+            errors.append(
+                {
                     "test": test.name,
                     "backend": config.backend.value,
                     "variant": config.variant.value,
-                    "file": fname,
-                    "entry_point": artifact.entry_point,
-                    "instances": artifact.instances,
-                    "workgroups": artifact.workgroups,
-                    "workgroup_size": artifact.workgroup_size,
-                    "buffer_cells": artifact.buffer_cells,
-                    "cells_per_instance": artifact.cells_per_instance,
-                    "timeout_seconds": spec.timeout_seconds,
+                    "error": f"{type(exc).__name__}: {exc}",
                 }
-                if config.backend is Backend.GLSL:
-                    amber_name = f"{test.name}.{config.variant.value}.amber"
-                    (out / amber_name).write_text(_amber_script(artifact), encoding="utf-8")
-                    entry["companion"] = amber_name
-                entries.append(entry)
-            except Exception as exc:  # noqa: BLE001 - partial failures recorded
-                errors.append(
-                    {
-                        "test": test.name,
-                        "backend": config.backend.value,
-                        "variant": config.variant.value,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+            )
     manifest = {"entries": entries, "errors": errors}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"

@@ -15,6 +15,7 @@ import pytest
 import progress_lab
 from progress_lab import cli, oracle
 from progress_lab.axb import AxbInstruction, LitmusTest
+from progress_lab.classify import summary_from_partitions
 from progress_lab.cli import main
 from progress_lab.suiteio import save_suite
 
@@ -264,6 +265,39 @@ def test_module_form_runs_the_command_line(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "no data\n", "")
 
 
+def test_module_form_checks_a_litmus_file():
+    check = [sys.executable, "-m", "progress_lab", "check", MUTEX, "--fairness", "weak"]
+    run = dict(capture_output=True, text=True, env=_package_env(), timeout=120)
+    proc = subprocess.run([*check, "--model", "obe"], **run)
+    assert (proc.returncode, proc.stdout) == (0, "pass\n"), proc.stderr
+    proc = subprocess.run([*check, "--model", "hsa", "--expect", "pass"], **run)
+    assert (proc.returncode, proc.stdout) == (1, "fail\n"), proc.stderr
+
+
+def test_report_lists_hierarchy_anomalies_before_errors(tmp_path, capsys):
+    doc = {
+        "weak_tests": ["a", "b"],
+        "anomalies": [
+            "a: passes weak-obe but fails weak-fair",
+            "b: passes weak-hsa but fails weak-fair",
+        ],
+        "errors": {"c": "ExplorationLimitError: plain LTS of 'c' exceeds 6 states"},
+        "hierarchy": ["weak-obe", "weak-hsa", "weak-fair"],
+    }
+    (tmp_path / "partitions.json").write_text(json.dumps(doc))
+    text = summary_from_partitions(doc)
+    assert text.endswith(
+        "\n\nhierarchy anomalies:\n"
+        "  a: passes weak-obe but fails weak-fair\n"
+        "  b: passes weak-hsa but fails weak-fair\n"
+        "\nerrors:\n"
+        "  c: ExplorationLimitError: plain LTS of 'c' exceeds 6 states\n"
+    )
+    assert text.count("\n  ") == 3
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == text
+
+
 IDIOM_ERRORS = (
     "errors:\n"
     "  bidirectional: ExplorationLimitError: monitored LTS of 'bidirectional' exceeds 6 states\n"
@@ -338,6 +372,17 @@ def test_emit_suite(suite22, tmp_path, capsys):
     assert manifest["errors"] == []
     assert len(list(out.glob("*.comp"))) == 20
     assert len(list(out.glob("*.amber"))) == 20
+
+
+def test_emit_has_no_workgroup_size_option(tmp_path, capsys):
+    # Each workgroup runs one test thread; the kernels cannot take a larger size.
+    out = tmp_path / "k"
+    with pytest.raises(SystemExit) as exc:
+        main(["emit", "--suite", str(IDIOM_DIR), "--backend", "glsl",
+              "--workgroup-size", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workgroup-size 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emit_rejects_tests_that_share_a_name(tmp_path, capsys):

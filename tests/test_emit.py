@@ -3,7 +3,7 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from progress_lab.emit import (
     MAX_TOTAL_WORKGROUPS,
     Backend,
     EmitConfig,
+    KernelArtifact,
     Variant,
     emit_kernel,
     emit_suite,
@@ -84,8 +85,6 @@ def test_resolve_instances():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EmitConfig(backend=Backend.GLSL, workgroup_size=0)
-    with pytest.raises(ValueError):
         EmitConfig(backend=Backend.GLSL, instances=0)
 
 
@@ -155,6 +154,37 @@ def test_glsl_shape(idioms):
     # The exchange-free instruction still goes through the coherence point.
     assert "atomicAdd(mem[base + 0u], 0u)" in src
     assert "atomicExchange(mem[base + 0u], 1u)" in src
+
+
+# The plain layout and chunked and round-robin layouts of three instances.
+LAUNCH_CONFIGS = [(Variant.PLAIN, None), (Variant.CHUNKED, 3), (Variant.ROUND_ROBIN, 3)]
+
+
+@pytest.mark.parametrize("variant, m", LAUNCH_CONFIGS)
+def test_glsl_launches_one_invocation_per_workgroup(idioms, variant, m):
+    # Each workgroup runs one test thread, and the kernel has no guard that
+    # would keep a second invocation from running a racing copy of it.
+    for test in idioms.values():
+        source = emit_kernel(test, EmitConfig(Backend.GLSL, variant, m)).source
+        assert source.count("layout(local_size_x = 1) in;") == 1
+
+
+def test_manifest_workgroup_size_is_one(idioms, tmp_path):
+    configs = [EmitConfig(b, variant, m) for b in Backend for variant, m in LAUNCH_CONFIGS]
+    manifest = emit_suite(list(idioms.values()), configs, tmp_path)
+    assert manifest["errors"] == []
+    assert len(manifest["entries"]) == len(idioms) * len(configs)
+    assert {entry["workgroup_size"] for entry in manifest["entries"]} == {1}
+
+
+def test_kernel_artifact_fields():
+    assert {f.name for f in fields(KernelArtifact)} == {
+        "source",
+        "entry_point",
+        "instances",
+        "workgroups",
+        "cells_per_instance",
+    }
 
 
 def test_cuda_shape(idioms):
