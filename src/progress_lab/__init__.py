@@ -27,12 +27,11 @@ from .lts import (
 )
 from .models import (
     Fairness,
-    Hierarchy,
     ModelVariant,
     ProgressModel,
     all_model_variants,
-    default_hierarchy,
     fair_set,
+    less_fair,
     variant_token,
 )
 from .oracle import Verdict, Witness, check_matrix, verify_witness
@@ -48,7 +47,6 @@ __all__ = [
     "EmitConfig",
     "ExplorationLimitError",
     "Fairness",
-    "Hierarchy",
     "KernelArtifact",
     "LitmusParseError",
     "LitmusTest",
@@ -71,10 +69,10 @@ __all__ = [
     "campaign",
     "check_matrix",
     "classify_suite",
-    "default_hierarchy",
     "emit_kernel",
     "emit_suite",
     "fair_set",
+    "less_fair",
     "load_harness",
     "load_suite",
     "parse_litmus",

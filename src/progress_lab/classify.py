@@ -48,11 +48,10 @@ from pathlib import Path
 from .lts import DEFAULT_MAX_STATES, Lts, build_plain_lts
 from .models import (
     Fairness,
-    Hierarchy,
     ModelVariant,
     ProgressModel,
     all_model_variants,
-    default_hierarchy,
+    less_fair,
     variant_token,
 )
 from .oracle import check_matrix
@@ -85,18 +84,21 @@ class SuiteReport:
 
 def classify_suite(
     tests,
-    hierarchy: Hierarchy | None = None,
+    hierarchy: tuple[ModelVariant, ...] | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> SuiteReport:
     """Verdict matrix plus partitions for a whole suite.
 
     The matrix always carries all verdict-producing variants; the
-    hierarchy (default: without the HSA/OBE combination) decides which
-    variants get conformance and distinguishing sets.  A test lands in
-    the distinguishing set of the least variant it conforms to, and in
-    none if it conforms to two incomparable variants but to nothing
-    below both.  Rows are keyed by test name, so a name shared by two
-    tests raises ValueError.
+    hierarchy, a tuple of variants in report column order (default:
+    `all_model_variants` without the HSA/OBE combination), decides which
+    variants get conformance and distinguishing sets, ordered by
+    `models.less_fair`.  A test lands in the distinguishing set of the
+    least variant it conforms to, and in none if it conforms to two
+    incomparable variants but to nothing below both.  Anomalies are
+    listed by test, then by the fairer variant in column order, then by
+    the less fair variant in column order.  Rows are keyed by test name,
+    so a name shared by two tests raises ValueError.
 
     Rows are shared twice over (see the module docstring).  The first
     test of a location orbit, keyed by `synth.canonicalize`, gets its
@@ -109,7 +111,7 @@ def classify_suite(
     """
     started = time.perf_counter()
     if hierarchy is None:
-        hierarchy = default_hierarchy()
+        hierarchy = all_model_variants(include_hsa_obe=False)
     tests = list(tests)
     names = [test.name for test in tests]
     duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
@@ -145,24 +147,18 @@ def classify_suite(
     )
     unclassified = tuple(n for n in classified if not matrix[n][STRONG_FAIR])
 
-    def pool(variant: ModelVariant) -> tuple[str, ...]:
-        if variant[1] is Fairness.WEAK:
-            return weak
-        if variant[1] is Fairness.STRONG:
-            return strong
-        return tuple(classified)
-
+    pools = {Fairness.WEAK: weak, Fairness.STRONG: strong, None: tuple(classified)}
     conformance: dict[str, tuple[str, ...]] = {}
-    for variant in hierarchy.variants:
+    for variant in hierarchy:
         tok = variant_token(variant)
-        conformance[tok] = tuple(n for n in pool(variant) if matrix[n][tok])
+        conformance[tok] = tuple(n for n in pools[variant[1]] if matrix[n][tok])
 
     distinguishing: dict[str, tuple[str, ...]] = {}
-    for variant in hierarchy.variants:
+    for variant in hierarchy:
         tok = variant_token(variant)
         rivals: set[str] = set()
-        for q in hierarchy.variants:
-            if q != variant and not hierarchy.less_fair(variant, q):
+        for q in hierarchy:
+            if q != variant and not less_fair(variant, q):
                 rivals.update(conformance[variant_token(q)])
         distinguishing[tok] = tuple(
             n for n in conformance[tok] if n not in rivals
@@ -170,8 +166,9 @@ def classify_suite(
 
     below = [
         (variant_token(low), variant_token(high))
-        for high in hierarchy.variants
-        for low in hierarchy.strictly_below(high)
+        for high in hierarchy
+        for low in hierarchy
+        if less_fair(low, high)
     ]
     anomalies = [
         f"{name}: passes {lo} but fails {hi}"
@@ -198,7 +195,7 @@ def classify_suite(
         distinguishing=distinguishing,
         anomalies=tuple(anomalies),
         errors=errors,
-        hierarchy_tokens=tuple(variant_token(v) for v in hierarchy.variants),
+        hierarchy_tokens=tuple(variant_token(v) for v in hierarchy),
     )
 
 

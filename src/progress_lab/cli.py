@@ -22,7 +22,7 @@ from .lts import (
     build_monitored_lts,
     build_plain_lts,
 )
-from .models import Fairness, ProgressModel, all_model_variants, default_hierarchy, variant_token
+from .models import Fairness, ProgressModel, all_model_variants, variant_token
 from .oracle import check_matrix, format_witness, verify_witness
 from .schedsim import (
     DEFAULT_STEP_BUDGET,
@@ -122,7 +122,7 @@ def _cmd_lts_dump(args, parser) -> int:
 
 def _cmd_classify(args) -> int:
     tests = load_suite(args.suite)
-    hierarchy = default_hierarchy(include_hsa_obe=args.hsa_obe_in_hierarchy)
+    hierarchy = all_model_variants(include_hsa_obe=args.hsa_obe_in_hierarchy)
     report = classify_suite(tests, hierarchy, max_states=args.max_states)
     print(write_report(report, args.out)["summary"].read_text(encoding="utf-8"), end="")
     return 0
@@ -215,9 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for synth; the other commands, "
-                             "classify, emit and simulate included, ignore it")
+    # Under an affinity mask the process may run on fewer CPUs than os.cpu_count().
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parser.add_argument("--jobs", type=int, default=cpus or 1,
+                        help="worker processes for synth, by default one per CPU this "
+                             "process may run on; every other command ignores it")
     parser.add_argument("--seed", type=int, default=None,
                         help="falls back to PROGRESS_LAB_SEED, then 0")
     sub = parser.add_subparsers(dest="command", required=True)

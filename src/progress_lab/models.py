@@ -8,10 +8,11 @@ except `unfair` split into a weak and a strong flavor at verdict time,
 giving eleven distinct verdict-producing models.
 
 Classifying uses the order "strictly less fair than" (Sorensen, Evrard
-& Donaldson, CONCUR 2018): unfair < {HSA, OBE} < HSA+OBE < LOBE < fair
-within a flavor, HSA and OBE incomparable, and weak < strong.  A variant
-is below another when both its model and its flavor are at most the
-other's; unfair, which has no flavor, is below every other variant.
+& Donaldson, CONCUR 2018), which `less_fair` states over any two
+variants: unfair < {HSA, OBE} < HSA+OBE < LOBE < fair within a flavor,
+HSA and OBE incomparable, and weak < strong.  A variant is below another
+when both its model and its flavor are at most the other's; unfair,
+which has no flavor, is below every other variant.
 """
 
 from __future__ import annotations
@@ -104,35 +105,14 @@ _AT_LEAST_AS_FAIR: dict[ProgressModel, frozenset[ProgressModel]] = {
 }
 
 
-class Hierarchy:
-    """The order "strictly less fair than" over `variants`, in report column order.
+def less_fair(a: ModelVariant, b: ModelVariant) -> bool:
+    """True when variant `a` is strictly less fair than variant `b`.
 
-    `a` is below `b` when they differ, `a`'s model is in `b`'s row of
-    `_AT_LEAST_AS_FAIR`, and `a` is not strong where `b` is weak.
-    Variants outside the hierarchy are comparable to nothing.
+    They differ, `a`'s model is in `b`'s row of `_AT_LEAST_AS_FAIR`,
+    and `a` is not strong where `b` is weak.
     """
-
-    def __init__(self, variants: tuple[ModelVariant, ...]):
-        self._variants = tuple(variants)
-
-    @property
-    def variants(self) -> tuple[ModelVariant, ...]:
-        return self._variants
-
-    def strictly_below(self, variant: ModelVariant) -> frozenset[ModelVariant]:
-        return frozenset(v for v in self._variants if self.less_fair(v, variant))
-
-    def less_fair(self, a: ModelVariant, b: ModelVariant) -> bool:
-        """True when `a` is strictly less fair than `b`."""
-        return (
-            a != b
-            and a in self._variants
-            and b in self._variants
-            and a[0] in _AT_LEAST_AS_FAIR[b[0]]
-            and (a[1], b[1]) != (Fairness.STRONG, Fairness.WEAK)
-        )
-
-
-def default_hierarchy(include_hsa_obe: bool = False) -> Hierarchy:
-    """The order over the report's variants; `hsa+obe` only when requested."""
-    return Hierarchy(all_model_variants(include_hsa_obe))
+    return (
+        a != b
+        and a[0] in _AT_LEAST_AS_FAIR[b[0]]
+        and (a[1], b[1]) != (Fairness.STRONG, Fairness.WEAK)
+    )

@@ -39,7 +39,8 @@ from progress_lab.models import (
     UNFAIR_VARIANT,
     Fairness,
     ProgressModel,
-    default_hierarchy,
+    all_model_variants,
+    less_fair,
     variant_token,
 )
 from progress_lab.oracle import check_matrix
@@ -212,12 +213,12 @@ def test_check_5_strong_fair_universal(partition23):
 
 def test_check_5_hierarchy_monotonicity(partition23):
     _, report = partition23
-    hierarchy = default_hierarchy(include_hsa_obe=True)
+    variants = all_model_variants(include_hsa_obe=True)
     pairs = [
         (variant_token(a), variant_token(b))
-        for a in hierarchy.variants
-        for b in hierarchy.variants
-        if hierarchy.less_fair(a, b)
+        for a in variants
+        for b in variants
+        if less_fair(a, b)
     ]
     for name in report.names:
         row = report.matrix[name]

@@ -2,11 +2,16 @@
 
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import capped_tests
+import progress_lab
+from conftest import IDIOM_DIR, capped_tests
 from progress_lab import classify
 from progress_lab.axb import AxbInstruction, LitmusTest, relabel_locations
 from progress_lab.classify import (
@@ -17,7 +22,7 @@ from progress_lab.classify import (
     summary_from_partitions,
     write_report,
 )
-from progress_lab.models import default_hierarchy
+from progress_lab.models import all_model_variants
 from progress_lab.oracle import check_matrix
 
 I = AxbInstruction
@@ -82,7 +87,7 @@ def test_distinguishing_subtracts_lower_models(report, idioms):
     assert "dining" not in d["strong-obe"]
     for rep in (
         report,
-        classify_suite(list(idioms.values()), default_hierarchy(include_hsa_obe=True)),
+        classify_suite(list(idioms.values()), all_model_variants(include_hsa_obe=True)),
     ):
         seen: dict[str, str] = {}
         for token, tests in rep.distinguishing.items():
@@ -98,7 +103,7 @@ def test_no_anomalies_or_errors_on_idioms(report):
 
 def test_hierarchy_with_combined_model(idioms):
     rep = classify_suite(
-        list(idioms.values()), default_hierarchy(include_hsa_obe=True)
+        list(idioms.values()), all_model_variants(include_hsa_obe=True)
     )
     assert "weak-hsa+obe" in rep.hierarchy_tokens
     assert set(rep.conformance["weak-hsa+obe"]) == {
@@ -106,6 +111,44 @@ def test_hierarchy_with_combined_model(idioms):
     }
     # everything it passes is already covered below it, so nothing distinguishes
     assert set(rep.distinguishing["weak-hsa+obe"]) == set()
+
+
+# Makes dining pass unfair, weak HSA and weak OBE but still fail weak LOBE
+# and weak fairness, then prints the anomalies of classifying it alone.
+_PATCHED_DINING = """
+import sys
+from progress_lab import classify
+from progress_lab.oracle import Verdict
+from progress_lab.suiteio import load_suite
+
+real = classify.check_matrix
+
+def check_matrix(test, *args):
+    verdicts = real(test, *args)
+    for tok in ("unfair", "weak-hsa", "weak-obe"):
+        verdicts[tok] = Verdict(True, None)
+    return verdicts
+
+classify.check_matrix = check_matrix
+dining = [t for t in load_suite(sys.argv[1]) if t.name == "dining"]
+print("\\n".join(classify.classify_suite(dining).anomalies))
+"""
+
+
+def test_anomalies_come_in_column_order_under_every_hash_seed():
+    src = str(Path(progress_lab.__file__).parent.parent)
+    expected = "".join(
+        f"dining: passes {low} but fails {high}\n"
+        for high in ("weak-lobe", "weak-fair")
+        for low in ("unfair", "weak-hsa", "weak-obe")
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PATCHED_DINING, str(IDIOM_DIR)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), (seed, proc.stderr)
 
 
 def test_matrix_csv_layout(report):

@@ -13,11 +13,14 @@ from pathlib import Path
 import pytest
 
 import progress_lab
+from conftest import SUITE_CAPPED, capped_tests
 from progress_lab import cli, oracle
 from progress_lab.axb import AxbInstruction, LitmusTest
 from progress_lab.classify import summary_from_partitions
 from progress_lab.cli import main
-from progress_lab.suiteio import save_suite
+from progress_lab.litmus_io import serialize_body
+from progress_lab.models import all_model_variants, variant_token
+from progress_lab.suiteio import load_suite, save_suite
 
 IDIOM_DIR = Path(__file__).parent.parent / "docs" / "idioms"
 MUTEX = str(IDIOM_DIR / "mutex.litmus")
@@ -192,6 +195,37 @@ def test_classify_then_report(suite22, tmp_path, capsys):
         assert (report_dir / name).is_file()
     assert main(["report", str(report_dir)]) == 0
     assert "tests classified: 20" in capsys.readouterr().out
+
+
+def test_classify_with_hsa_obe_in_hierarchy(tmp_path, capsys):
+    out = tmp_path / "rep"
+    argv = ["classify", "--suite", str(IDIOM_DIR), "--out", str(out), "--hsa-obe-in-hierarchy"]
+    assert main(argv) == 0
+    doc = json.loads((out / "partitions.json").read_text(encoding="utf-8"))
+    assert doc["hierarchy"] == [variant_token(v) for v in all_model_variants()]
+    assert doc["conformance"]["weak-hsa+obe"] == ["mutex", "prodcons-increasing", "simplified-mutex"]
+    assert doc["distinguishing"]["weak-hsa+obe"] == []
+    assert "hsa+obe          0       3         0         1" in capsys.readouterr().out.splitlines()
+
+
+def test_synth_caps_keep_the_capped_suite(tmp_path, capsys, suites):
+    out = tmp_path / "s"
+    argv = ["synth", "--threads", "2", "--instrs", "3", "--max-states", "12",
+            "--max-actions", "14", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{SUITE_CAPPED[(2, 3)]} tests written to {out}\n"
+    stats = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert (stats["unique"], stats["rejected"]["lts_bounds_exceeded"]) == (928, 84)
+
+    def bodies(tests):
+        return [serialize_body(t.threads, t.num_locations, t.value_domain) for t in tests]
+
+    assert bodies(load_suite(out)) == bodies(capped_tests(suites(2, 3), (2, 3)))
+
+
+def test_jobs_default_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.build_parser().parse_args(["report", "x"]).jobs == 1
 
 
 def _package_env() -> dict:

@@ -17,7 +17,7 @@ from progress_lab.classify import classify_suite, matrix_csv, partitions_json_di
 from progress_lab.emit import Backend, EmitConfig, Variant, emit_suite, expand_layout
 from progress_lab.litmus_io import serialize_litmus
 from progress_lab.lts import build_monitored_lts, build_plain_lts
-from progress_lab.models import ProgressModel, default_hierarchy
+from progress_lab.models import ProgressModel, all_model_variants
 from progress_lab.oracle import check_matrix
 from progress_lab.schedsim import campaign
 from progress_lab.synth import SynthConfig, synthesize
@@ -37,7 +37,7 @@ def test_classify_outputs_are_pinned(suites, tmp_path):
     for bounds in ((2, 3), (3, 3)):
         tests = capped_tests(suites(*bounds), bounds)
         for include_hsa_obe in (False, True):
-            report = classify_suite(tests, default_hierarchy(include_hsa_obe))
+            report = classify_suite(tests, all_model_variants(include_hsa_obe))
             label = f"{bounds[0]}x{bounds[1]}.hsa_obe={include_hsa_obe}"
             for kind, path in write_report(report, tmp_path / label).items():
                 files[f"{label}/{kind}"] = path.read_bytes()

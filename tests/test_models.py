@@ -10,8 +10,8 @@ from progress_lab.models import (
     Fairness,
     ProgressModel,
     all_model_variants,
-    default_hierarchy,
     fair_set,
+    less_fair,
     thread_ids,
     variant_token,
 )
@@ -118,45 +118,43 @@ def test_variant_column_order():
     assert len(all_model_variants(include_hsa_obe=False)) == 9
 
 
-def test_default_hierarchy_relations():
-    h = default_hierarchy()
+def test_less_fair_relations():
     W, S = Fairness.WEAK, Fairness.STRONG
     for f in (W, S):
-        assert h.less_fair(UNFAIR_VARIANT, (M.HSA, f))
-        assert h.less_fair(UNFAIR_VARIANT, (M.FAIR, f))  # via closure
-        assert h.less_fair((M.HSA, f), (M.LOBE, f))
-        assert h.less_fair((M.OBE, f), (M.LOBE, f))
-        assert h.less_fair((M.LOBE, f), (M.FAIR, f))
-        assert not h.less_fair((M.HSA, f), (M.OBE, f))
-        assert not h.less_fair((M.OBE, f), (M.HSA, f))
+        assert less_fair(UNFAIR_VARIANT, (M.HSA, f))
+        assert less_fair(UNFAIR_VARIANT, (M.FAIR, f))  # via closure
+        assert less_fair((M.HSA, f), (M.LOBE, f))
+        assert less_fair((M.OBE, f), (M.LOBE, f))
+        assert less_fair((M.LOBE, f), (M.FAIR, f))
+        assert not less_fair((M.HSA, f), (M.OBE, f))
+        assert not less_fair((M.OBE, f), (M.HSA, f))
     for m in (M.HSA, M.OBE, M.LOBE, M.FAIR):
-        assert h.less_fair((m, W), (m, S))
-        assert not h.less_fair((m, S), (m, W))
+        assert less_fair((m, W), (m, S))
+        assert not less_fair((m, S), (m, W))
     # strong-hsa and weak-lobe are incomparable across flavors
-    assert not h.less_fair((M.HSA, S), (M.LOBE, W))
-    assert not h.less_fair((M.LOBE, W), (M.HSA, S))
-    assert (M.HSA_OBE, W) not in h.variants
+    assert not less_fair((M.HSA, S), (M.LOBE, W))
+    assert not less_fair((M.LOBE, W), (M.HSA, S))
+    assert (M.HSA_OBE, W) not in all_model_variants(include_hsa_obe=False)
 
 
 def test_hierarchy_with_combined_model():
-    h = default_hierarchy(include_hsa_obe=True)
     W = Fairness.WEAK
-    assert h.less_fair((M.HSA, W), (M.HSA_OBE, W))
-    assert h.less_fair((M.OBE, W), (M.HSA_OBE, W))
-    assert h.less_fair((M.HSA_OBE, W), (M.LOBE, W))
-    assert h.less_fair((M.HSA_OBE, W), (M.FAIR, W))
+    assert less_fair((M.HSA, W), (M.HSA_OBE, W))
+    assert less_fair((M.OBE, W), (M.HSA_OBE, W))
+    assert less_fair((M.HSA_OBE, W), (M.LOBE, W))
+    assert less_fair((M.HSA_OBE, W), (M.FAIR, W))
 
 
 def test_hierarchy_is_a_strict_order():
-    h = default_hierarchy(include_hsa_obe=True)
-    for a in h.variants:
-        assert not h.less_fair(a, a)
-        for b in h.variants:
-            if h.less_fair(a, b):
-                assert not h.less_fair(b, a)
-                for c in h.variants:
-                    if h.less_fair(b, c):
-                        assert h.less_fair(a, c)
+    variants = all_model_variants(include_hsa_obe=True)
+    for a in variants:
+        assert not less_fair(a, a)
+        for b in variants:
+            if less_fair(a, b):
+                assert not less_fair(b, a)
+                for c in variants:
+                    if less_fair(b, c):
+                        assert less_fair(a, c)
 
 
 def _reference_edges(include_hsa_obe):
@@ -190,16 +188,12 @@ def test_hierarchy_matches_the_closed_reference_edges(include_hsa_obe):
         if not extra:
             break
         closure |= extra
-    h = default_hierarchy(include_hsa_obe)
-    assert h.variants == all_model_variants(include_hsa_obe)
-    everything = all_model_variants(True)
-    for a in everything:
-        assert h.strictly_below(a) == {b for b in everything if (b, a) in closure}
-        for b in everything:
-            assert h.less_fair(a, b) == ((a, b) in closure), (a, b)
+    variants = all_model_variants(include_hsa_obe)
+    for a in variants:
+        for b in variants:
+            assert less_fair(a, b) == ((a, b) in closure), (a, b)
 
 
 def test_unfair_is_below_every_variant():
-    h = default_hierarchy()
-    assert h.less_fair(UNFAIR_VARIANT, (M.FAIR, Fairness.WEAK))
-    assert not h.less_fair((M.FAIR, Fairness.STRONG), UNFAIR_VARIANT)
+    assert less_fair(UNFAIR_VARIANT, (M.FAIR, Fairness.WEAK))
+    assert not less_fair((M.FAIR, Fairness.STRONG), UNFAIR_VARIANT)
