@@ -45,7 +45,9 @@ def save_suite(
 def load_test(path: str | Path) -> LitmusTest:
     """Read one `.litmus` file; a parse error names the file."""
     try:
-        return parse_litmus(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        return parse_litmus(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

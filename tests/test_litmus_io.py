@@ -1,7 +1,8 @@
 """Wire format: parsing, serialization, and error positions."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progress_lab import litmus_io
 from progress_lab.axb import AxbInstruction, LitmusTest
@@ -255,3 +256,173 @@ def test_decode_cache_stays_within_its_bound():
     test = parse_litmus("\n".join(lines) + "\n")
     assert test.threads[0][-1] == I(0, count - 1, count, count - 1)
     assert 0 < len(litmus_io._DECODED) <= litmus_io._DECODED_MAX
+
+
+def _clear_caches():
+    litmus_io._DECODED.clear()
+    litmus_io._BLOCKS.clear()
+
+
+def _outcome(text):
+    """The parsed test, or the error's type, message and position."""
+    try:
+        return parse_litmus(text)
+    except LitmusParseError as exc:
+        return "LitmusParseError", str(exc), exc.line, exc.column
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+# Lines a mutation may insert: thread lines (one indented, so that it
+# stays inside its chunk), instructions, a header line, noise.
+_EXTRA_LINES = (
+    "",
+    "# note",
+    "thread 0:",
+    "thread 1:",
+    "thread 2: # c",
+    "  thread 1:",
+    "  0: axb loc=0 cmp=0 jump=1 exch=none",
+    "  1: axb loc=1 cmp=1 jump=0 exch=1",
+    "  0: axb loc=2 cmp=2 jump=3 exch=2",
+    "values 2",
+)
+
+
+_NUMBERED = (["locations"], ["values"])
+
+
+@st.composite
+def _mutated(draw, base: str, sep: str):
+    """`base` with a few lines inserted, deleted or duplicated, thread
+    blocks deleted, or thread ids, header or instruction numbers changed,
+    its lines ended by `sep`."""
+    lines = base.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["insert", "delete", "duplicate", "block", "thread", "header", "field"]
+            )
+        )
+        if kind == "insert":
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(_EXTRA_LINES)))
+            continue
+        if kind in ("block", "thread"):
+            where = [i for i, line in enumerate(lines) if line.startswith("thread ")]
+        elif kind == "field":
+            where = [i for i, line in enumerate(lines) if " axb " in line]
+        else:
+            # Header lines only change their numbers: most other edits of
+            # one would stop every parse at the header.
+            header = [i for i, line in enumerate(lines) if line.split()[:1] in _NUMBERED]
+            where = header if kind == "header" else sorted(set(range(len(lines))) - set(header))
+        if not where:
+            continue
+        at = draw(st.sampled_from(where))
+        if kind == "delete":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "block":
+            end = at + 1
+            while end < len(lines) and not lines[end].startswith("thread "):
+                end += 1
+            del lines[at:end]
+        elif kind == "thread":
+            lines[at] = f"thread {draw(st.integers(0, 3))}:"
+        elif kind == "field":
+            words = lines[at].split()
+            i = draw(st.integers(2, 5))
+            words[i] = f"{words[i].partition('=')[0]}={draw(st.integers(0, 4))}"
+            lines[at] = "  " + " ".join(words)
+        else:
+            lines[at] = f"{lines[at].split()[0]} {draw(st.integers(0, 4))}"
+    return sep.join(lines) + draw(st.sampled_from(["", sep]))
+
+
+# A mismatch needs a drawn test and edits to line up: about one example
+# in fifty wrongly served from a cache shows it.
+@settings(max_examples=300)
+@given(st.data())
+def test_parse_outcome_does_not_depend_on_the_caches(data):
+    base = serialize_litmus(data.draw(litmus_tests(max_locations=3, max_values=3)))
+    sep = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    related = data.draw(st.lists(_mutated(base, sep), max_size=3))
+    text = data.draw(_mutated(base, sep))
+    _clear_caches()
+    cold = _outcome(text)
+    for warm in (base.replace("\n", sep), *related, text):
+        _outcome(warm)
+    assert _outcome(text) == cold
+
+
+THREE = """\
+test three
+locations 2
+values 3
+thread 0:
+  0: axb loc=0 cmp=1 jump=0 exch=1
+thread 1:
+  0: axb loc=1 cmp=0 jump=1 exch=none
+
+thread 2:
+  0: axb loc=0 cmp=2 jump=0 exch=none
+  1: axb loc=1 cmp=0 jump=2 exch=2
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # thread 2's block, cached under values 3, read under values 2
+        ("values 3", "values 2", "line 10, column 16: compare value 2 out of range (values 2)"),
+        # thread 2's cached block at position 1
+        ("thread 1:\n  0: axb loc=1 cmp=0 jump=1 exch=none\n", "",
+         "line 7, column 8: thread ids must be sequential, expected 1"),
+        # the blank line before thread 2 counts
+        ("jump=2 exch=2", "jump=3 exch=2",
+         "line 11, column 1: jump target 3 out of range (thread 2 has 2 instructions)"),
+    ],
+)
+def test_cached_blocks_raise_what_a_cold_parse_raises(old, new, message):
+    _clear_caches()
+    assert parse_litmus(THREE).threads[2] == (I(0, 2, 0, None), I(1, 0, 2, 2))
+    assert len(litmus_io._BLOCKS) == 3
+    bad = THREE.replace(old, new)
+    with pytest.raises(LitmusParseError) as warm:
+        parse_litmus(bad)
+    assert str(warm.value) == message
+    _clear_caches()
+    with pytest.raises(LitmusParseError) as cold:
+        parse_litmus(bad)
+    assert (str(cold.value), cold.value.line, cold.value.column) == (
+        message, warm.value.line, warm.value.column
+    )
+
+
+def test_thread_line_after_a_blank_line_is_counted():
+    text = "test x\nlocations 1\nvalues 1\n\nthread 1:\n  0: axb loc=0 cmp=0 jump=1 exch=none\n"
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus(text)
+    assert (err.value.line, err.value.column) == (5, 8)
+    with pytest.raises(LitmusParseError) as err:
+        parse_litmus("test x\nlocations 1\n\nthread 0:\n")
+    assert str(err.value) == "line 4, column 1: expected 'values N'"
+
+
+def test_tests_spelling_one_block_share_its_program_tuple():
+    other = SAMPLE.replace("test demo", "test other").replace("cmp=1 jump=0", "cmp=0 jump=0", 1)
+    a, b = parse_litmus(SAMPLE), parse_litmus(other)
+    assert a.threads[0] != b.threads[0]
+    assert a.threads[1] is b.threads[1]
+
+
+def test_block_cache_stays_within_its_bound():
+    count = 3 * litmus_io._BLOCKS_MAX
+    lines = ["test many", "locations 1", "values 1"]
+    for tid in range(count):
+        lines += [f"thread {tid}:", "  0: axb loc=0 cmp=0 jump=1 exch=none"]
+    test = parse_litmus("\n".join(lines) + "\n")
+    assert len(test.threads) == count
+    assert 0 < len(litmus_io._BLOCKS) <= litmus_io._BLOCKS_MAX
